@@ -8,6 +8,10 @@
 //! (pipelining). Stdin mode wires the same loop to the process's standard
 //! streams for harnesses that prefer pipes to sockets.
 //!
+//! Accepted sockets are `TCP_NODELAY` and every reply line goes out, newline
+//! included, in one write: with Nagle's algorithm a reply that follows an
+//! unacknowledged one would wait for the client's delayed ACK.
+//!
 //! The frontends are hardened against hostile or broken clients:
 //!
 //! - **Line cap**: a request line longer than [`MAX_LINE_BYTES`] is answered
@@ -23,16 +27,17 @@
 //!   "quiet because gone". Streaming `progress` frames do not resolve a
 //!   request and leave the count untouched.
 //!
-//! Shutdown (`{"op":"shutdown"}`) stops the accept loop, half-closes every
-//! connection's read side so its reader sees EOF, drains the scheduler
-//! queue, and joins everything — queued work is answered, new work is
-//! refused.
+//! Shutdown (`{"op":"shutdown"}`) stops the accept loop (it blocks in
+//! `accept`, so the stop request wakes it by connecting to the listener's
+//! own address), half-closes every connection's read side so its reader
+//! sees EOF, drains the scheduler queue, and joins everything — queued work
+//! is answered, new work is refused.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::Duration;
 
@@ -92,14 +97,22 @@ struct Control {
     /// its own entry on exit — a lingering clone here would hold the socket
     /// open after the protocol decided to close it.
     conns: Mutex<HashMap<u64, TcpStream>>,
+    /// The TCP listener's address (unset in stdin mode). The accept loop
+    /// blocks in `accept`; stopping wakes it with a connection to here.
+    listener: OnceLock<SocketAddr>,
 }
 
 impl Control {
     fn request_stop(&self) {
         self.stop.store(true, Ordering::Release);
-        let conns = self.conns.lock().expect("conns lock");
-        for stream in conns.values() {
-            let _ = stream.shutdown(Shutdown::Read);
+        {
+            let conns = self.conns.lock().expect("conns lock");
+            for stream in conns.values() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
+        if let Some(&addr) = self.listener.get() {
+            let _ = TcpStream::connect(addr);
         }
     }
 
@@ -137,6 +150,7 @@ pub fn serve(config: &ServeConfig) -> Result<(), BenchError> {
         stop: AtomicBool::new(false),
         accepted: AtomicU64::new(0),
         conns: Mutex::new(HashMap::new()),
+        listener: OnceLock::new(),
     });
     match &config.listen {
         Some(addr) => serve_tcp(addr, config, &scheduler, &control)?,
@@ -161,9 +175,14 @@ fn serve_tcp(
     let local: SocketAddr = listener
         .local_addr()
         .map_err(|e| BenchError::io("resolve listen socket", path, &e))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| BenchError::io("configure listen socket", path, &e))?;
+    let mut wake = local;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = control.listener.set(wake);
     println!("wrsnd listening on {local}");
     std::io::stdout().flush().ok();
 
@@ -171,7 +190,13 @@ fn serve_tcp(
     let mut next_conn = 0u64;
     while !control.stop.load(Ordering::Acquire) {
         match listener.accept() {
+            // The stop request's wake-up connection, or a client arriving
+            // as the daemon stops: either way, not served.
+            Ok(_) if control.stop.load(Ordering::Acquire) => break,
             Ok((stream, _peer)) => {
+                // Replies are whole lines written at once; Nagle would hold
+                // a reply's last segment until the client ACKs the previous.
+                let _ = stream.set_nodelay(true);
                 let conn_id = next_conn;
                 next_conn += 1;
                 if let Ok(read_half) = stream.try_clone() {
@@ -192,9 +217,6 @@ fn serve_tcp(
                         })
                         .expect("spawn connection thread"),
                 );
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
             }
             Err(e) => {
                 eprintln!("wrsnd: accept failed: {e}");
@@ -237,13 +259,16 @@ fn serve_connection(
         thread::Builder::new()
             .name("wrsnd-conn-writer".to_string())
             .spawn(move || {
-                let mut out = std::io::BufWriter::new(write_half);
+                let mut out = write_half;
+                let mut line = Vec::new();
                 // Ends when every sender (reader + in-flight jobs) is
                 // dropped, or a write stalls past the socket timeout.
                 while let Ok(reply) = rx.recv() {
-                    let sent = out.write_all(reply.line.as_bytes()).is_ok()
-                        && out.write_all(b"\n").is_ok()
-                        && out.flush().is_ok();
+                    // One write per reply, newline included.
+                    line.clear();
+                    line.extend_from_slice(reply.line.as_bytes());
+                    line.push(b'\n');
+                    let sent = out.write_all(&line).is_ok();
                     if reply.fin {
                         inflight.fetch_sub(1, Ordering::AcqRel);
                     }

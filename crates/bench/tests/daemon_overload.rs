@@ -291,6 +291,53 @@ fn streamed_and_plain_responses_share_digest_and_final_bytes() {
     let _ = std::fs::remove_dir_all(&cold);
 }
 
+/// Pipelined cache hits on a 320-node result come back well inside the
+/// client's delayed-ACK window. A reply sent while the previous one is still
+/// unacknowledged is held by Nagle's algorithm until the client's delayed
+/// ACK fires (about 40 ms on Linux) unless the daemon's socket is no-delay.
+#[test]
+fn pipelined_cache_hits_are_not_held_back_by_nagle() {
+    const REQUEST: &str =
+        "{\"id\":\"big\",\"scenario\":{\"nodes\":320,\"seed\":11,\"horizon_s\":50000}}\n";
+    const ROUNDS: usize = 21;
+    let store = temp_dir("nagle");
+    let mut daemon = Daemon::spawn(&store, 1, &[], &[]);
+    let mut conn = daemon.connect();
+    // The client sends each batch in one no-delay write, so only the
+    // daemon's side of the exchange can stall.
+    conn.stream.set_nodelay(true).expect("client no-delay");
+    let mut round_trip = |batch: usize| {
+        let started = Instant::now();
+        conn.stream
+            .write_all(REQUEST.repeat(batch).as_bytes())
+            .expect("send requests");
+        let replies: Vec<ParsedResponse> = (0..batch).map(|_| conn.recv()).collect();
+        (started.elapsed(), replies)
+    };
+
+    let (_, first) = round_trip(1);
+    assert_eq!(first[0].status, "ok", "error: {:?}", first[0].error);
+    let mut rounds: Vec<Duration> = (0..ROUNDS)
+        .map(|_| {
+            let (elapsed, hits) = round_trip(2);
+            for hit in &hits {
+                assert_eq!(hit.cache.as_deref(), Some("hit"));
+                assert_eq!(hit.result_canonical, first[0].result_canonical);
+            }
+            elapsed
+        })
+        .collect();
+    rounds.sort();
+    let median = rounds[ROUNDS / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median round trip of two pipelined hits {median:?} (all: {rounds:?})"
+    );
+    drop(conn);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&store);
+}
+
 #[test]
 fn an_oversized_request_line_is_rejected_typed_and_the_connection_closed() {
     let store = temp_dir("oversize");

@@ -73,6 +73,25 @@ impl Serialize for Network {
             ("sink_neighbors".to_string(), self.sink_neighbors.to_value()),
         ])
     }
+
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        let mut map = serde::json::MapWriter::new(out);
+        let nodes = map.key("nodes");
+        nodes.push('[');
+        for i in 0..self.node_count() {
+            if i > 0 {
+                nodes.push(',');
+            }
+            self.materialize(i).write_json(nodes)?;
+        }
+        nodes.push(']');
+        map.field("sink", &self.sink)?;
+        map.field("comm_range_m", &self.comm_range_m)?;
+        map.field("adj", &self.adj)?;
+        map.field("sink_neighbors", &self.sink_neighbors)?;
+        map.end();
+        Ok(())
+    }
 }
 
 impl Deserialize for Network {

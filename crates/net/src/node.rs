@@ -75,6 +75,18 @@ impl Serialize for SensorNode {
         }
         Value::Map(entries)
     }
+
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        let mut map = serde::json::MapWriter::new(out);
+        map.field("position", &self.position)?;
+        map.field("battery", &self.battery)?;
+        map.field("sensing_rate_bps", &self.sensing_rate_bps)?;
+        if self.failed {
+            map.field("failed", &true)?;
+        }
+        map.end();
+        Ok(())
+    }
 }
 
 impl Deserialize for SensorNode {

@@ -53,6 +53,27 @@ impl Serialize for RoutingTree {
             ("reachable".to_string(), self.reachable.to_value()),
         ])
     }
+
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        let mut map = serde::json::MapWriter::new(out);
+        map.field("parent", &self.parent)?;
+        let dist = map.key("dist");
+        dist.push('[');
+        for (i, &d) in self.dist.iter().enumerate() {
+            if i > 0 {
+                dist.push(',');
+            }
+            if d.is_finite() {
+                serde::json::write_f64(d, dist)?;
+            } else {
+                dist.push_str("null");
+            }
+        }
+        dist.push(']');
+        map.field("reachable", &self.reachable)?;
+        map.end();
+        Ok(())
+    }
 }
 
 impl Deserialize for RoutingTree {

@@ -352,11 +352,12 @@ pub enum TraceRecord {
 ///
 /// Fails if the record contains a non-finite float (JSON cannot carry those).
 pub fn to_jsonl_line(record: &TraceRecord) -> Result<String, serde::Error> {
-    let envelope = Value::Map(vec![
-        ("v".to_string(), Value::U64(SCHEMA_VERSION)),
-        ("record".to_string(), record.to_value()),
-    ]);
-    serde_json::to_string(&envelope)
+    let mut line = String::new();
+    let mut envelope = serde::json::MapWriter::new(&mut line);
+    envelope.field("v", &SCHEMA_VERSION)?;
+    envelope.field("record", record)?;
+    envelope.end();
+    Ok(line)
 }
 
 /// Parses one JSONL line produced by [`to_jsonl_line`].

@@ -26,11 +26,18 @@
 //! The payload after the header line is exactly the world's forensic JSON
 //! snapshot, so `tail -n +2 file.ckpt` yields a document the `wrsn audit`
 //! command understands.
+//!
+//! Saving is one pass: the world streams its JSON through
+//! [`serde::Serialize::write_json`] into a buffer (a [`Checkpointer`] reuses
+//! one across its checkpoints and encodes the live world without cloning
+//! it), and the header and payload are written as two slices.
 
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+
+use serde::Serialize as _;
 
 use crate::obs::{Counter, Recorder};
 use crate::world::{Checkpoint, World};
@@ -204,6 +211,11 @@ fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> StoreError {
 /// Returns [`StoreError::Io`] when any filesystem step fails; the temp file
 /// is cleaned up on a failed rename.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    write_atomic_parts(path, &[bytes])
+}
+
+/// [`write_atomic`] of the concatenation of `parts`, without building it.
+fn write_atomic_parts(path: &Path, parts: &[&[u8]]) -> Result<(), StoreError> {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     if let Some(dir) = dir {
         fs::create_dir_all(dir).map_err(|e| io_err("create directory for", path, &e))?;
@@ -215,8 +227,10 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     let tmp = path.with_file_name(format!(".{file_name}.tmp.{}", std::process::id()));
     let result = (|| {
         let mut file = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, &e))?;
-        file.write_all(bytes)
-            .map_err(|e| io_err("write", &tmp, &e))?;
+        for part in parts {
+            file.write_all(part)
+                .map_err(|e| io_err("write", &tmp, &e))?;
+        }
         file.sync_all().map_err(|e| io_err("sync", &tmp, &e))?;
         drop(file);
         fs::rename(&tmp, path).map_err(|e| io_err("rename into place", path, &e))
@@ -235,17 +249,23 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 /// Returns [`StoreError::Payload`] if the snapshot cannot be serialized
 /// (non-finite floats) or [`StoreError::Io`] on filesystem failure.
 pub fn save(path: &Path, checkpoint: &Checkpoint) -> Result<(), StoreError> {
-    let payload = serde_json::to_string(checkpoint).map_err(|e| StoreError::Payload {
+    save_world(path, checkpoint.world(), &mut String::new())
+}
+
+/// Encodes `world` into `payload` (cleared first, so one buffer serves many
+/// checkpoints) and writes it under its header, as [`save`] does.
+fn save_world(path: &Path, world: &World, payload: &mut String) -> Result<(), StoreError> {
+    payload.clear();
+    world.write_json(payload).map_err(|e| StoreError::Payload {
         path: path.to_path_buf(),
         detail: e.to_string(),
     })?;
-    let mut bytes = format!(
+    let header = format!(
         "{MAGIC} v{FORMAT_VERSION} len={} fnv={:016x}\n",
         payload.len(),
         fnv1a64(payload.as_bytes())
     );
-    bytes.push_str(&payload);
-    write_atomic(path, bytes.as_bytes())
+    write_atomic_parts(path, &[header.as_bytes(), payload.as_bytes()])
 }
 
 fn header_field<'a>(field: &'a str, key: &str, path: &Path) -> Result<&'a str, StoreError> {
@@ -383,6 +403,8 @@ pub struct Checkpointer {
     path: PathBuf,
     next_due_s: f64,
     written: u64,
+    /// Encode buffer reused across checkpoints (scratch, not state).
+    payload: String,
 }
 
 impl Checkpointer {
@@ -393,6 +415,7 @@ impl Checkpointer {
             path: path.into(),
             next_due_s: policy.every_sim_s,
             written: 0,
+            payload: String::new(),
         }
     }
 
@@ -424,6 +447,10 @@ impl Checkpointer {
     }
 
     /// Persists `world` if due and advances the schedule past its clock.
+    ///
+    /// The live world is encoded in place: its encoding never includes the
+    /// checkpointer, so it is byte for byte the file [`save`] writes for
+    /// [`World::snapshot`], without cloning the world.
     pub(crate) fn write_due(
         &mut self,
         world: &World,
@@ -433,7 +460,7 @@ impl Checkpointer {
         if !self.due(now_s) {
             return Ok(());
         }
-        save(&self.path, &world.snapshot())?;
+        save_world(&self.path, world, &mut self.payload)?;
         self.written += 1;
         rec.add(Counter::CheckpointsWritten, 1);
         while self.next_due_s <= now_s {

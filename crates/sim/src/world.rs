@@ -206,7 +206,8 @@ impl Default for Scratch {
 
 // Hand-written so the scratch buffers stay out of snapshots: the JSON shape
 // is identical to the previous derived form, and `Scratch` is rebuilt from
-// the deserialized fields.
+// the deserialized fields. `write_json` streams the same fields in the same
+// order; the checkpointer encodes a live world through it.
 impl Serialize for World {
     fn to_value(&self) -> serde::Value {
         let mut entries = vec![
@@ -232,6 +233,29 @@ impl Serialize for World {
             entries.push(("audit".to_string(), audit.to_value()));
         }
         serde::Value::Map(entries)
+    }
+
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        let mut map = serde::json::MapWriter::new(out);
+        map.field("net", &self.net)?;
+        map.field("charger", &self.charger)?;
+        map.field("config", &self.config)?;
+        map.field("time_s", &self.time_s)?;
+        map.field("tree", &self.tree)?;
+        map.field("power_w", &self.power_w)?;
+        map.field("requests", &self.requests)?;
+        map.field("trace", &self.trace)?;
+        map.field("lifetime_s", &self.lifetime_s)?;
+        map.field("depot_visits", &self.depot_visits)?;
+        map.field("energy_used_j", &self.energy_used_j)?;
+        if let Some(faults) = &self.faults {
+            map.field("faults", faults)?;
+        }
+        if let Some(audit) = &self.audit {
+            map.field("audit", audit)?;
+        }
+        map.end();
+        Ok(())
     }
 }
 
@@ -1486,6 +1510,10 @@ impl Checkpoint {
 impl Serialize for Checkpoint {
     fn to_value(&self) -> serde::Value {
         self.state.to_value()
+    }
+
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        self.state.write_json(out)
     }
 }
 

@@ -26,6 +26,12 @@ echo "== release golden digest (arms_race ROC artifact + detection contract)"
 # stealth evasion.
 cargo test --release -p wrsn-bench --test golden_roc_digest -q
 
+echo "== release golden digest (checkpoint store bytes)"
+# Pins the bytes store::save and the periodic checkpointer write for an
+# audited, fault-injected CSA world: the JSON encoder and every hand-written
+# encoding on the checkpoint path must keep the v1 file byte-identical.
+cargo test --release --test golden_checkpoint -q
+
 echo "== scale-smoke: 10k nodes, shard counts 1 and 8, identical traces"
 # Spatial sharding is a pure execution strategy: the scale experiment's full
 # trace must be byte-identical at any shard count.
@@ -81,6 +87,19 @@ head -n 1 "$trace_file" | grep -q '^{"v":1,"record":{"Meta":' \
   || { echo "trace does not start with a versioned Meta record" >&2; exit 1; }
 tail -n 1 "$trace_file" | grep -q '"Counters"' \
   || { echo "trace does not end with a Counters record" >&2; exit 1; }
+
+echo "== checkpoint forensic-read smoke test"
+# A v1 checkpoint is one header line plus the world's JSON snapshot, so
+# stripping the header must leave a document `wrsn audit` loads.
+ckpt_dir="$(mktemp -d)"
+cargo run --release --example checkpointed_run -- "$ckpt_dir/run.ckpt" >/dev/null
+[[ "$(head -n 1 "$ckpt_dir/run.ckpt")" =~ ^WRSNCKPT\ v1\ len=[0-9]+\ fnv=[0-9a-f]{16}$ ]] \
+  || { echo "checkpoint does not start with a v1 header" >&2; exit 1; }
+tail -n +2 "$ckpt_dir/run.ckpt" > "$ckpt_dir/world.json"
+cargo run --release --bin wrsn -- audit --load "$ckpt_dir/world.json" > "$ckpt_dir/audit.txt"
+grep -q '^snapshot: t = ' "$ckpt_dir/audit.txt" \
+  || { echo "wrsn audit cannot read a header-stripped checkpoint" >&2; exit 1; }
+rm -rf "$ckpt_dir"
 
 echo "== fault-injection smoke test (seeded, byte-identical)"
 faults_a="$(mktemp)"
