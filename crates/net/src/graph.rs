@@ -4,13 +4,18 @@
 //! communication range. The base station (*sink*) is a distinguished point;
 //! nodes within range of it can deliver data directly.
 //!
-//! Algorithms provided: connectivity / components (BFS), shortest paths
-//! (Dijkstra on Euclidean edge weights), articulation points (Tarjan) and
-//! betweenness centrality (Brandes) — the latter two feed key-node
-//! identification in [`crate::keynode`].
+//! The graph is built once: its CSR adjacency and the Euclidean length of
+//! every edge never change afterwards (deaths are masks over it), so clones
+//! of a [`Network`] share one copy. Shortest paths over those lengths live in
+//! [`crate::routing`].
+//!
+//! Algorithms provided: connectivity / components (BFS), articulation points
+//! (Tarjan) and betweenness centrality (Brandes) — the latter two feed
+//! key-node identification in [`crate::keynode`].
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -49,8 +54,157 @@ pub struct Network {
     failed: Vec<bool>,
     sink: Point,
     comm_range_m: f64,
-    adj: Vec<Vec<NodeId>>,
+    topology: Arc<Topology>,
+}
+
+/// The immutable communication graph: a CSR adjacency with the Euclidean
+/// length of every directed edge, plus the sink's neighbours.
+#[derive(Debug)]
+struct Topology {
+    /// Row `v` spans `nbr[off[v]..off[v + 1]]`; `off` has `n + 1` entries.
+    off: Vec<usize>,
+    /// Neighbour ids, ascending within each row.
+    nbr: Vec<NodeId>,
+    /// `len[k] = positions[v].distance(positions[nbr[k]])` for the row `v`
+    /// holding `k` — the edge weight routing relaxes.
+    len: Vec<f64>,
     sink_neighbors: Vec<NodeId>,
+}
+
+impl Topology {
+    /// Scans the range-`comm_range_m` neighbourhoods of `positions` on
+    /// `threads` workers (sequentially below [`PARALLEL_BUILD_MIN_NODES`]).
+    ///
+    /// Nodes are bucketed into a uniform grid with cell side
+    /// `comm_range_m`, so each node only tests the nodes in its own and the
+    /// eight surrounding cells: ~O(n) for bounded-density deployments
+    /// instead of the O(n²) all-pairs scan. A first pass counts each row,
+    /// so the CSR arrays are allocated once at their exact size; the second
+    /// fills every row in place and sorts it ascending. Each worker owns a
+    /// contiguous range of rows in both passes, so the result is identical
+    /// to the all-pairs build at any thread count.
+    fn build(positions: &[Point], sink: Point, comm_range_m: f64, threads: usize) -> Self {
+        assert!(
+            comm_range_m.is_finite() && comm_range_m > 0.0,
+            "communication range must be positive, got {comm_range_m}"
+        );
+        let n = positions.len();
+        let grid = Grid::new(positions, comm_range_m);
+        let threads = threads.clamp(1, n.max(1));
+        let chunk = if threads <= 1 || n < PARALLEL_BUILD_MIN_NODES {
+            n.max(1)
+        } else {
+            n.div_ceil(threads)
+        };
+
+        let mut off = vec![0usize; n + 1];
+        fan_out(
+            off[1..].chunks_mut(chunk).enumerate().collect(),
+            |(c, ends)| {
+                let base = c * chunk;
+                grid.for_each_candidate(&(base..base + ends.len()), |i, _, hit| {
+                    ends[i - base] += usize::from(hit);
+                });
+            },
+        );
+        for i in 0..n {
+            off[i + 1] += off[i];
+        }
+
+        let mut nbr = vec![NodeId(0); off[n]];
+        let mut len = vec![0.0; off[n]];
+        let mut parts = Vec::new();
+        let (mut nbr_rest, mut len_rest) = (&mut nbr[..], &mut len[..]);
+        for start in (0..n).step_by(chunk) {
+            let rows = start..(start + chunk).min(n);
+            let size = off[rows.end] - off[rows.start];
+            let (nbr_part, nbr_tail) = nbr_rest.split_at_mut(size);
+            let (len_part, len_tail) = len_rest.split_at_mut(size);
+            parts.push((rows, nbr_part, len_part));
+            (nbr_rest, len_rest) = (nbr_tail, len_tail);
+        }
+        fan_out(parts, |(rows, nbr_part, len_part)| {
+            let base = off[rows.start];
+            let mut next: Vec<usize> = off[rows.clone()].iter().map(|o| o - base).collect();
+            grid.for_each_candidate(&rows, |i, j, hit| {
+                if hit {
+                    let slot = &mut next[i - rows.start];
+                    nbr_part[*slot] = NodeId(j);
+                    *slot += 1;
+                }
+            });
+            for i in rows {
+                let row = off[i] - base..off[i + 1] - base;
+                nbr_part[row.clone()].sort_unstable();
+                for (l, u) in len_part[row.clone()].iter_mut().zip(&nbr_part[row]) {
+                    *l = positions[i].distance(positions[u.0]);
+                }
+            }
+        });
+
+        let sink_neighbors = (0..n)
+            .filter(|&i| positions[i].distance_sq(sink) <= grid.r2)
+            .map(NodeId)
+            .collect();
+        Topology {
+            off,
+            nbr,
+            len,
+            sink_neighbors,
+        }
+    }
+
+    /// Rebuilds the CSR arrays from serialized adjacency rows, recomputing
+    /// the edge lengths from `positions`.
+    fn from_rows(
+        rows: &[Vec<NodeId>],
+        positions: &[Point],
+        sink_neighbors: Vec<NodeId>,
+    ) -> Result<Self, serde::Error> {
+        let n = positions.len();
+        if rows.len() != n {
+            return Err(serde::Error(format!(
+                "Network: {} adjacency rows for {n} nodes",
+                rows.len()
+            )));
+        }
+        if let Some(bad) = rows
+            .iter()
+            .flatten()
+            .chain(&sink_neighbors)
+            .find(|u| u.0 >= n)
+        {
+            return Err(serde::Error(format!(
+                "Network: neighbour {} out of range for {n} nodes",
+                bad.0
+            )));
+        }
+        let mut off = Vec::with_capacity(n + 1);
+        off.push(0);
+        let mut nbr = Vec::with_capacity(rows.iter().map(Vec::len).sum());
+        let mut len = Vec::with_capacity(nbr.capacity());
+        for (v, row) in rows.iter().enumerate() {
+            nbr.extend_from_slice(row);
+            len.extend(row.iter().map(|u| positions[v].distance(positions[u.0])));
+            off.push(nbr.len());
+        }
+        Ok(Topology {
+            off,
+            nbr,
+            len,
+            sink_neighbors,
+        })
+    }
+
+    /// The adjacency row of node `v` (trusted index).
+    fn row(&self, v: usize) -> Range<usize> {
+        self.off[v]..self.off[v + 1]
+    }
+
+    /// Number of nodes.
+    fn node_count(&self) -> usize {
+        self.off.len() - 1
+    }
 }
 
 // Hand-written to keep the wire shape of the former array-of-structs layout
@@ -69,8 +223,14 @@ impl Serialize for Network {
             ),
             ("sink".to_string(), self.sink.to_value()),
             ("comm_range_m".to_string(), self.comm_range_m.to_value()),
-            ("adj".to_string(), self.adj.to_value()),
-            ("sink_neighbors".to_string(), self.sink_neighbors.to_value()),
+            (
+                "adj".to_string(),
+                Value::Seq(self.ids().map(|id| self.neighbors(id).to_value()).collect()),
+            ),
+            (
+                "sink_neighbors".to_string(),
+                self.sink_neighbors().to_value(),
+            ),
         ])
     }
 
@@ -87,8 +247,16 @@ impl Serialize for Network {
         nodes.push(']');
         map.field("sink", &self.sink)?;
         map.field("comm_range_m", &self.comm_range_m)?;
-        map.field("adj", &self.adj)?;
-        map.field("sink_neighbors", &self.sink_neighbors)?;
+        let adj = map.key("adj");
+        adj.push('[');
+        for id in self.ids() {
+            if id.0 > 0 {
+                adj.push(',');
+            }
+            self.neighbors(id).write_json(adj)?;
+        }
+        adj.push(']');
+        map.field("sink_neighbors", self.sink_neighbors())?;
         map.end();
         Ok(())
     }
@@ -100,12 +268,18 @@ impl Deserialize for Network {
             .as_map()
             .ok_or_else(|| serde::Error::expected("map", "Network"))?;
         let nodes: Vec<SensorNode> = Deserialize::from_value(serde::map_get(entries, "nodes")?)?;
+        let adj: Vec<Vec<NodeId>> = Deserialize::from_value(serde::map_get(entries, "adj")?)?;
+        let positions: Vec<Point> = nodes.iter().map(SensorNode::position).collect();
+        let topology = Topology::from_rows(
+            &adj,
+            &positions,
+            Deserialize::from_value(serde::map_get(entries, "sink_neighbors")?)?,
+        )?;
         Ok(Network::from_parts(
             nodes,
             Deserialize::from_value(serde::map_get(entries, "sink")?)?,
             Deserialize::from_value(serde::map_get(entries, "comm_range_m")?)?,
-            Deserialize::from_value(serde::map_get(entries, "adj")?)?,
-            Deserialize::from_value(serde::map_get(entries, "sink_neighbors")?)?,
+            topology,
         ))
     }
 }
@@ -165,79 +339,30 @@ impl EnergyColumnsMut<'_> {
     }
 }
 
-/// Below this node count the parallel build falls back to the sequential
-/// half-scan: spawn overhead would dominate the ~O(n) bucket scan.
+/// Below this node count the topology build runs on one worker: spawn
+/// overhead would dominate the ~O(n) bucket scan.
 const PARALLEL_BUILD_MIN_NODES: usize = 8192;
 
 impl Network {
     /// Builds the network, computing adjacency from `comm_range_m`.
     ///
     /// Adjacency is found with a uniform grid bucketed at the communication
-    /// range: each node only tests the nodes in its own and the eight
-    /// surrounding cells, so construction is ~O(n) for bounded-density
-    /// deployments instead of the O(n²) all-pairs scan. Neighbour lists come
-    /// out identical to the all-pairs build — sorted ascending by id — so
-    /// every downstream traversal order (and thus every float accumulation
-    /// order) is unchanged.
+    /// range, so construction is ~O(n) for bounded-density deployments.
+    /// Neighbour lists come out identical to the all-pairs build — sorted
+    /// ascending by id — so every downstream traversal order (and thus every
+    /// float accumulation order) is unchanged.
     ///
     /// # Panics
     ///
     /// Panics if `comm_range_m` is not finite and positive.
     pub fn build(nodes: Vec<SensorNode>, sink: Point, comm_range_m: f64) -> Self {
-        assert!(
-            comm_range_m.is_finite() && comm_range_m > 0.0,
-            "communication range must be positive, got {comm_range_m}"
-        );
-        let n = nodes.len();
-        let r2 = comm_range_m * comm_range_m;
-        let positions: Vec<Point> = nodes.iter().map(SensorNode::position).collect();
-        let mut adj = vec![Vec::new(); n];
-        if n > 0 {
-            let inv_cell = 1.0 / comm_range_m;
-            let (min_x, min_y) = grid_origin(&positions);
-            let cell_of = |p: Point| grid_cell(p, min_x, min_y, inv_cell);
-            let mut buckets: std::collections::HashMap<(i64, i64), Vec<usize>> =
-                std::collections::HashMap::new();
-            for (i, &p) in positions.iter().enumerate() {
-                buckets.entry(cell_of(p)).or_default().push(i);
-            }
-            let mut candidates: Vec<usize> = Vec::new();
-            for i in 0..n {
-                let (cx, cy) = cell_of(positions[i]);
-                candidates.clear();
-                for dx in -1..=1 {
-                    for dy in -1..=1 {
-                        if let Some(bucket) = buckets.get(&(cx + dx, cy + dy)) {
-                            candidates.extend(bucket.iter().copied().filter(|&j| {
-                                j > i && positions[i].distance_sq(positions[j]) <= r2
-                            }));
-                        }
-                    }
-                }
-                // Ascending ids so neighbour lists match the all-pairs order.
-                candidates.sort_unstable();
-                for &j in &candidates {
-                    adj[i].push(NodeId(j));
-                    adj[j].push(NodeId(i));
-                }
-            }
-        }
-        let sink_neighbors = (0..n)
-            .filter(|&i| positions[i].distance_sq(sink) <= r2)
-            .map(NodeId)
-            .collect();
-        Network::from_parts(nodes, sink, comm_range_m, adj, sink_neighbors)
+        Network::build_with_threads(nodes, sink, comm_range_m, 1)
     }
 
     /// Like [`Network::build`], but fans the per-node neighbour scan over
     /// `threads` scoped worker threads when the deployment is large enough
-    /// to amortise the spawn cost.
-    ///
-    /// Each worker owns a contiguous range of adjacency lists and scans the
-    /// full 3×3 cell neighbourhood for every node (instead of the sequential
-    /// half-scan), then sorts ascending — each grid bucket holds ascending
-    /// ids by construction, so the resulting lists are identical to the
-    /// sequential build's, and the network is byte-for-byte the same at any
+    /// to amortise the spawn cost. Each worker owns a contiguous range of
+    /// adjacency rows, so the network is byte-for-byte the same at any
     /// thread count.
     ///
     /// # Panics
@@ -249,75 +374,20 @@ impl Network {
         comm_range_m: f64,
         threads: usize,
     ) -> Self {
-        let n = nodes.len();
-        let threads = threads.clamp(1, n.max(1));
-        if threads <= 1 || n < PARALLEL_BUILD_MIN_NODES {
-            return Network::build(nodes, sink, comm_range_m);
-        }
-        assert!(
-            comm_range_m.is_finite() && comm_range_m > 0.0,
-            "communication range must be positive, got {comm_range_m}"
-        );
-        let r2 = comm_range_m * comm_range_m;
         let positions: Vec<Point> = nodes.iter().map(SensorNode::position).collect();
-        let inv_cell = 1.0 / comm_range_m;
-        let (min_x, min_y) = grid_origin(&positions);
-        let mut buckets: std::collections::HashMap<(i64, i64), Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, &p) in positions.iter().enumerate() {
-            buckets
-                .entry(grid_cell(p, min_x, min_y, inv_cell))
-                .or_default()
-                .push(i);
-        }
-        let mut adj = vec![Vec::new(); n];
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (c, chunk_adj) in adj.chunks_mut(chunk).enumerate() {
-                let positions = &positions;
-                let buckets = &buckets;
-                scope.spawn(move || {
-                    let base = c * chunk;
-                    for (k, out) in chunk_adj.iter_mut().enumerate() {
-                        let i = base + k;
-                        let (cx, cy) = grid_cell(positions[i], min_x, min_y, inv_cell);
-                        for dx in -1..=1 {
-                            for dy in -1..=1 {
-                                if let Some(bucket) = buckets.get(&(cx + dx, cy + dy)) {
-                                    out.extend(
-                                        bucket
-                                            .iter()
-                                            .copied()
-                                            .filter(|&j| {
-                                                j != i
-                                                    && positions[i].distance_sq(positions[j]) <= r2
-                                            })
-                                            .map(NodeId),
-                                    );
-                                }
-                            }
-                        }
-                        out.sort_unstable();
-                    }
-                });
-            }
-        });
-        let sink_neighbors = (0..n)
-            .filter(|&i| positions[i].distance_sq(sink) <= r2)
-            .map(NodeId)
-            .collect();
-        Network::from_parts(nodes, sink, comm_range_m, adj, sink_neighbors)
+        let topology = Topology::build(&positions, sink, comm_range_m, threads);
+        Network::from_parts(nodes, sink, comm_range_m, topology)
     }
 
-    /// Columnises a node list with precomputed adjacency.
+    /// Columnises a node list around its prebuilt topology.
     fn from_parts(
         nodes: Vec<SensorNode>,
         sink: Point,
         comm_range_m: f64,
-        adj: Vec<Vec<NodeId>>,
-        sink_neighbors: Vec<NodeId>,
+        topology: Topology,
     ) -> Self {
         let n = nodes.len();
+        debug_assert_eq!(topology.node_count(), n);
         let mut net = Network {
             positions: Vec::with_capacity(n),
             sensing_rate_bps: Vec::with_capacity(n),
@@ -328,8 +398,7 @@ impl Network {
             failed: Vec::with_capacity(n),
             sink,
             comm_range_m,
-            adj,
-            sink_neighbors,
+            topology: Arc::new(topology),
         };
         for node in nodes {
             let (position, battery, sensing_rate_bps, failed) = node.into_parts();
@@ -458,9 +527,22 @@ impl Network {
         self.comm_range_m
     }
 
-    /// Neighbours of `id` (empty for out-of-range ids).
+    /// Neighbours of `id`, ascending (empty for out-of-range ids).
     pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
-        self.adj.get(id.0).map(Vec::as_slice).unwrap_or(&[])
+        self.neighbors_with_len(id).0
+    }
+
+    /// Neighbours of `id` with the Euclidean length of each edge,
+    /// `positions[id].distance(positions[neighbor])`, computed once at build
+    /// time (empty for out-of-range ids).
+    #[inline]
+    pub fn neighbors_with_len(&self, id: NodeId) -> (&[NodeId], &[f64]) {
+        let topo = &*self.topology;
+        if id.0 >= topo.node_count() {
+            return (&[], &[]);
+        }
+        let row = topo.row(id.0);
+        (&topo.nbr[row.clone()], &topo.len[row])
     }
 
     /// Degree of `id`.
@@ -470,7 +552,7 @@ impl Network {
 
     /// Nodes within communication range of the sink.
     pub fn sink_neighbors(&self) -> &[NodeId] {
-        &self.sink_neighbors
+        &self.topology.sink_neighbors
     }
 
     /// Iterator over all node ids.
@@ -510,7 +592,7 @@ impl Network {
             seen[s] = true;
             while let Some(u) = stack.pop() {
                 comp.push(NodeId(u));
-                for &v in &self.adj[u] {
+                for &v in self.neighbors(NodeId(u)) {
                     if !seen[v.0] && mask[v.0] {
                         seen[v.0] = true;
                         stack.push(v.0);
@@ -539,7 +621,7 @@ impl Network {
         let n = self.positions.len();
         let mut reach = vec![false; n];
         let mut stack: Vec<usize> = self
-            .sink_neighbors
+            .sink_neighbors()
             .iter()
             .map(|id| id.0)
             .filter(|&i| mask[i])
@@ -548,7 +630,7 @@ impl Network {
             reach[s] = true;
         }
         while let Some(u) = stack.pop() {
-            for &v in &self.adj[u] {
+            for &v in self.neighbors(NodeId(u)) {
                 if mask[v.0] && !reach[v.0] {
                     reach[v.0] = true;
                     stack.push(v.0);
@@ -579,8 +661,9 @@ impl Network {
             low[root] = timer;
             timer += 1;
             while let Some(&mut (u, parent, ref mut idx)) = stack.last_mut() {
-                if *idx < self.adj[u].len() {
-                    let v = self.adj[u][*idx].0;
+                let row = self.neighbors(NodeId(u));
+                if *idx < row.len() {
+                    let v = row[*idx].0;
                     *idx += 1;
                     if !mask[v] {
                         continue;
@@ -633,7 +716,7 @@ impl Network {
             queue.push_back(s);
             while let Some(u) = queue.pop_front() {
                 order.push(u);
-                for &v in &self.adj[u] {
+                for &v in self.neighbors(NodeId(u)) {
                     let v = v.0;
                     if !mask[v] {
                         continue;
@@ -665,43 +748,78 @@ impl Network {
         }
         cb
     }
+}
 
-    /// Dijkstra shortest-path distances (Euclidean edge weights) from `source`
-    /// over the subgraph induced by `mask`. Unreachable nodes get `f64::INFINITY`.
-    /// Also returns the predecessor of each node on its shortest path.
-    pub fn dijkstra(&self, source: NodeId, mask: &[bool]) -> (Vec<f64>, Vec<Option<NodeId>>) {
-        let n = self.positions.len();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut pred: Vec<Option<NodeId>> = vec![None; n];
-        if source.0 >= n || !mask.get(source.0).copied().unwrap_or(false) {
-            return (dist, pred);
+/// Nodes bucketed into a uniform grid with cell side = communication
+/// range, so a node's neighbours lie in its own and the eight surrounding
+/// cells.
+struct Grid<'a> {
+    positions: &'a [Point],
+    /// Node ids per cell, ascending.
+    buckets: HashMap<(i64, i64), Vec<usize>>,
+    r2: f64,
+}
+
+impl<'a> Grid<'a> {
+    fn new(positions: &'a [Point], comm_range_m: f64) -> Self {
+        let (min_x, min_y) = grid_origin(positions);
+        let inv_cell = 1.0 / comm_range_m;
+        let mut buckets: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
+        for (i, &p) in positions.iter().enumerate() {
+            buckets
+                .entry(grid_cell(p, min_x, min_y, inv_cell))
+                .or_default()
+                .push(i);
         }
-        dist[source.0] = 0.0;
-        let mut heap = BinaryHeap::new();
-        heap.push(HeapItem {
-            dist: 0.0,
-            node: source.0,
-        });
-        while let Some(HeapItem { dist: d, node: u }) = heap.pop() {
-            if d > dist[u] {
+        Grid {
+            positions,
+            buckets,
+            r2: comm_range_m * comm_range_m,
+        }
+    }
+
+    /// Calls `f(i, j, in_range)` for every node `i` in `rows` and every node
+    /// `j != i` in `i`'s 3×3 cells; `in_range` is whether `j` is within
+    /// range of `i`. Nodes are visited cell by cell (in no fixed order), so
+    /// a cell's nodes share its nine bucket lookups.
+    fn for_each_candidate(&self, rows: &Range<usize>, mut f: impl FnMut(usize, usize, bool)) {
+        const NONE: &[usize] = &[];
+        for (&(cx, cy), members) in &self.buckets {
+            if !members.iter().any(|i| rows.contains(i)) {
                 continue;
             }
-            for &v in &self.adj[u] {
-                let v = v.0;
-                if !mask[v] {
-                    continue;
+            let mut near = [NONE; 9];
+            for (k, slot) in near.iter_mut().enumerate() {
+                let cell = (cx + k as i64 / 3 - 1, cy + k as i64 % 3 - 1);
+                if let Some(bucket) = self.buckets.get(&cell) {
+                    *slot = bucket;
                 }
-                let w = self.positions[u].distance(self.positions[v]);
-                let nd = d + w;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    pred[v] = Some(NodeId(u));
-                    heap.push(HeapItem { dist: nd, node: v });
+            }
+            for &i in members.iter().filter(|i| rows.contains(i)) {
+                let p = self.positions[i];
+                for &j in near.iter().copied().flatten() {
+                    if j != i {
+                        f(i, j, p.distance_sq(self.positions[j]) <= self.r2);
+                    }
                 }
             }
         }
-        (dist, pred)
     }
+}
+
+/// Runs `f` on every part, on one scoped worker per part when there is
+/// more than one.
+fn fan_out<P: Send>(parts: Vec<P>, f: impl Fn(P) + Sync) {
+    if parts.len() <= 1 {
+        parts.into_iter().for_each(f);
+        return;
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        for part in parts {
+            scope.spawn(move || f(part));
+        }
+    });
 }
 
 /// Origin (minimum x/y) of the uniform grid over `positions` — the anchor
@@ -730,32 +848,6 @@ pub fn grid_cell(p: Point, min_x: f64, min_y: f64, inv_cell: f64) -> (i64, i64) 
         ((p.x - min_x) * inv_cell).floor() as i64,
         ((p.y - min_y) * inv_cell).floor() as i64,
     )
-}
-
-/// Min-heap item for Dijkstra.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapItem {
-    dist: f64,
-    node: usize,
-}
-
-impl Eq for HeapItem {}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for a min-heap; distances are finite by construction.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 #[cfg(test)]
@@ -855,25 +947,6 @@ mod tests {
     }
 
     #[test]
-    fn dijkstra_distances_on_path() {
-        let net = path_net();
-        let (dist, pred) = net.dijkstra(NodeId(0), &all_mask(&net));
-        assert!((dist[4] - 40.0).abs() < 1e-9);
-        assert_eq!(pred[4], Some(NodeId(3)));
-        assert_eq!(pred[0], None);
-    }
-
-    #[test]
-    fn dijkstra_respects_mask() {
-        let net = path_net();
-        let mut mask = all_mask(&net);
-        mask[2] = false;
-        let (dist, _) = net.dijkstra(NodeId(0), &mask);
-        assert!(dist[4].is_infinite());
-        assert!((dist[1] - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn unknown_node_errors() {
         let net = path_net();
         assert!(matches!(
@@ -918,22 +991,91 @@ mod tests {
         assert_eq!(net.sink_neighbors(), &[NodeId(0), NodeId(1)]);
     }
 
+    /// Bit patterns of a topology's CSR arrays, for exact comparison.
+    fn csr_bits(net: &Network) -> (Vec<usize>, Vec<NodeId>, Vec<u64>, Vec<NodeId>) {
+        let topo = &*net.topology;
+        (
+            topo.off.clone(),
+            topo.nbr.clone(),
+            topo.len.iter().map(|l| l.to_bits()).collect(),
+            topo.sink_neighbors.clone(),
+        )
+    }
+
     #[test]
     fn parallel_build_matches_sequential() {
         // Above the parallel threshold so the threaded path actually runs.
-        let nodes = crate::deploy::uniform(&Region::square(400.0), 9000, 42);
+        let n = PARALLEL_BUILD_MIN_NODES + 808;
+        let nodes = crate::deploy::uniform(&Region::square(400.0), n, 42);
         let seq = Network::build(nodes.clone(), Point::new(200.0, 200.0), 12.0);
+        let seq_csr = csr_bits(&seq);
         for threads in [2, 3, 8] {
             let par =
                 Network::build_with_threads(nodes.clone(), Point::new(200.0, 200.0), 12.0, threads);
-            assert_eq!(par.sink_neighbors(), seq.sink_neighbors());
-            for i in 0..seq.node_count() {
-                assert_eq!(
-                    par.neighbors(NodeId(i)),
-                    seq.neighbors(NodeId(i)),
-                    "threads {threads} node {i}"
-                );
+            assert!(csr_bits(&par) == seq_csr, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn edge_lengths_are_the_exact_euclidean_distances() {
+        let nodes = crate::deploy::uniform(&Region::square(150.0), 200, 5);
+        let net = Network::build(nodes, Point::new(75.0, 75.0), 25.0);
+        let positions = net.positions();
+        let mut edges = 0;
+        for v in net.ids() {
+            let (nbrs, lens) = net.neighbors_with_len(v);
+            assert_eq!(nbrs, net.neighbors(v));
+            assert_eq!(nbrs.len(), lens.len());
+            for (u, len) in nbrs.iter().zip(lens) {
+                let want = positions[v.0].distance(positions[u.0]);
+                assert_eq!(len.to_bits(), want.to_bits(), "edge {} -> {}", v.0, u.0);
+                edges += 1;
             }
         }
+        assert!(edges > 0);
+        assert_eq!(net.neighbors_with_len(NodeId(200)), (&[][..], &[][..]));
+    }
+
+    #[test]
+    fn json_round_trip_is_byte_identical() {
+        let nodes = crate::deploy::uniform(&Region::square(90.0), 40, 9);
+        let net = Network::build(nodes, Point::new(45.0, 45.0), 20.0);
+        let mut streamed = String::new();
+        net.write_json(&mut streamed).unwrap();
+        let mut via_tree = String::new();
+        serde::json::write_value(&net.to_value(), &mut via_tree).unwrap();
+        assert_eq!(streamed, via_tree);
+        let back = Network::from_value(&net.to_value()).unwrap();
+        let mut again = String::new();
+        back.write_json(&mut again).unwrap();
+        assert_eq!(again, streamed);
+        assert!(csr_bits(&back) == csr_bits(&net));
+    }
+
+    #[test]
+    fn malformed_adjacency_is_rejected() {
+        let net = path_net();
+        let with_adj = |rows: Vec<Vec<NodeId>>| {
+            let Value::Map(mut entries) = net.to_value() else {
+                panic!("network encodes as a map")
+            };
+            entries.iter_mut().find(|(k, _)| k == "adj").unwrap().1 = rows.to_value();
+            Network::from_value(&Value::Map(entries))
+        };
+        assert!(
+            with_adj(vec![vec![NodeId(1)], vec![NodeId(0)]]).is_err(),
+            "row count"
+        );
+        assert!(
+            with_adj(vec![vec![NodeId(9)]; 5]).is_err(),
+            "neighbour out of range"
+        );
+    }
+
+    #[test]
+    fn clones_share_the_topology() {
+        let net = path_net();
+        let copy = net.clone();
+        assert!(Arc::ptr_eq(&net.topology, &copy.topology));
     }
 }

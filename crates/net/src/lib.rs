@@ -8,8 +8,9 @@
 //! * [`energy`]: batteries with capacity/thresholds and the first-order radio
 //!   energy model,
 //! * [`node`]: sensor nodes with position, battery and sensing rate,
-//! * [`graph`]: communication graphs, Dijkstra, articulation points (Tarjan),
-//!   betweenness centrality (Brandes),
+//! * [`graph`]: communication graphs (a shared CSR topology with precomputed
+//!   edge lengths), articulation points (Tarjan), betweenness centrality
+//!   (Brandes),
 //! * [`routing`]: shortest-path data-gathering trees and per-node traffic /
 //!   energy-consumption rates,
 //! * [`keynode`]: identification of **key nodes** — the cut vertices and

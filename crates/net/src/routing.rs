@@ -5,6 +5,9 @@
 //! each node's relayed traffic, and with the radio model, its *power draw* —
 //! which is what the attacker needs to predict when each victim will die.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use serde::{Deserialize, Serialize};
 
 use crate::energy::RadioEnergyModel;
@@ -97,43 +100,73 @@ impl RoutingTree {
     /// Builds the shortest-path tree over the subgraph induced by `mask`.
     pub fn shortest_path(net: &Network, mask: &[bool]) -> Self {
         let n = net.node_count();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut parent: Vec<Option<NodeId>> = vec![None; n];
-        let mut heap = std::collections::BinaryHeap::new();
+        let mut tree = RoutingTree {
+            parent: vec![None; n],
+            dist: vec![f64::INFINITY; n],
+            reachable: Vec::new(),
+        };
+        let mut heap = BinaryHeap::new();
+        tree.seed_sink_neighbors(net, |s| mask.get(s).copied().unwrap_or(false), &mut heap);
+        tree.settle(net, mask, &mut heap, usize::MAX);
+        tree.reachable = tree.dist.iter().map(|d| d.is_finite()).collect();
+        tree
+    }
 
+    /// Pushes every sink neighbour `s` with `include(s)` at its direct
+    /// distance to the sink.
+    fn seed_sink_neighbors(
+        &mut self,
+        net: &Network,
+        include: impl Fn(usize) -> bool,
+        heap: &mut Heap,
+    ) {
         for &s in net.sink_neighbors() {
-            if !mask.get(s.0).copied().unwrap_or(false) {
+            if !include(s.0) {
                 continue;
             }
             let d0 = net.positions()[s.0].distance(net.sink());
-            if d0 < dist[s.0] {
-                dist[s.0] = d0;
-                heap.push(Item { d: d0, v: s.0 });
+            if d0 < self.dist[s.0] {
+                self.dist[s.0] = d0;
+                heap.push(key(d0, s.0));
             }
         }
-        while let Some(Item { d, v }) = heap.pop() {
-            if d > dist[v] {
+    }
+
+    /// Dijkstra from whatever `heap` holds over the subgraph induced by
+    /// `mask`, relaxing the edge lengths precomputed in the topology.
+    /// Returns the number of nodes settled, or `None` once more than
+    /// `budget` settles would be needed (the tree is then half-relaxed).
+    fn settle(
+        &mut self,
+        net: &Network,
+        mask: &[bool],
+        heap: &mut Heap,
+        budget: usize,
+    ) -> Option<usize> {
+        let mut settled = 0usize;
+        while let Some(Reverse((bits, v))) = heap.pop() {
+            let d = f64::from_bits(bits);
+            if d > self.dist[v] {
                 continue;
             }
-            for &u in net.neighbors(NodeId(v)) {
+            settled += 1;
+            if settled > budget {
+                return None;
+            }
+            let (nbrs, lens) = net.neighbors_with_len(NodeId(v));
+            for (&u, &w) in nbrs.iter().zip(lens) {
                 if !mask[u.0] {
                     continue;
                 }
-                let w = net.positions()[v].distance(net.positions()[u.0]);
                 let nd = d + w;
-                if nd < dist[u.0] {
-                    dist[u.0] = nd;
-                    parent[u.0] = Some(NodeId(v));
-                    heap.push(Item { d: nd, v: u.0 });
+                if nd < self.dist[u.0] {
+                    self.dist[u.0] = nd;
+                    self.parent[u.0] = Some(NodeId(v));
+                    heap.push(key(nd, u.0));
                 }
             }
         }
-        let reachable = dist.iter().map(|d| d.is_finite()).collect();
-        RoutingTree {
-            parent,
-            dist,
-            reachable,
-        }
+        Some(settled)
     }
 
     /// Repairs the tree in place after the nodes in `dead` left the alive
@@ -249,18 +282,13 @@ impl RoutingTree {
                 self.parent[i] = None;
             }
         }
-        let mut heap = std::collections::BinaryHeap::new();
+        let mut heap = BinaryHeap::new();
         // Re-seed affected sink-neighbours exactly as the full build does.
-        for &s in net.sink_neighbors() {
-            if !affected[s.0] || !mask.get(s.0).copied().unwrap_or(false) {
-                continue;
-            }
-            let d0 = net.positions()[s.0].distance(net.sink());
-            if d0 < self.dist[s.0] {
-                self.dist[s.0] = d0;
-                heap.push(Item { d: d0, v: s.0 });
-            }
-        }
+        self.seed_sink_neighbors(
+            net,
+            |s| affected[s] && mask.get(s).copied().unwrap_or(false),
+            &mut heap,
+        );
         // Frontier donors: clean, alive, routed neighbours of affected alive
         // nodes re-enter the heap at their final distances. Their own state
         // cannot improve (their distances are already shortest), but they
@@ -275,10 +303,7 @@ impl RoutingTree {
                     continue;
                 }
                 seeded[u.0] = true;
-                heap.push(Item {
-                    d: self.dist[u.0],
-                    v: u.0,
-                });
+                heap.push(key(self.dist[u.0], u.0));
             }
         }
         // Relaxation budget: the affected-fraction gate above bounds the
@@ -293,32 +318,13 @@ impl RoutingTree {
         // trigger above 4096 alive nodes, leaving the paper-scale figure
         // experiments (and their golden traces) untouched.
         let budget = budget_override.unwrap_or_else(|| (alive_count / 2).max(4096));
-        let mut relaxed = 0usize;
-        while let Some(Item { d, v }) = heap.pop() {
-            if d > self.dist[v] {
-                continue;
-            }
-            relaxed += 1;
-            if relaxed > budget {
-                *self = RoutingTree::shortest_path(net, mask);
-                return RepairReport {
-                    relaxed: 0,
-                    full_rebuild: true,
-                };
-            }
-            for &u in net.neighbors(NodeId(v)) {
-                if !mask[u.0] {
-                    continue;
-                }
-                let w = net.positions()[v].distance(net.positions()[u.0]);
-                let nd = d + w;
-                if nd < self.dist[u.0] {
-                    self.dist[u.0] = nd;
-                    self.parent[u.0] = Some(NodeId(v));
-                    heap.push(Item { d: nd, v: u.0 });
-                }
-            }
-        }
+        let Some(relaxed) = self.settle(net, mask, &mut heap, budget) else {
+            *self = RoutingTree::shortest_path(net, mask);
+            return RepairReport {
+                relaxed: 0,
+                full_rebuild: true,
+            };
+        };
         for i in 0..n {
             if affected[i] {
                 self.reachable[i] = self.dist[i].is_finite();
@@ -413,16 +419,15 @@ pub fn traffic_load(net: &Network, tree: &RoutingTree, mask: &[bool]) -> Traffic
     let mut rx = vec![0.0; n];
     let mut tx = vec![0.0; n];
 
-    // Process nodes farthest-first so children are accumulated before parents.
-    let mut order: Vec<usize> = (0..n)
+    // Process nodes farthest-first so children are accumulated before
+    // parents, ties by ascending id. Reachable distances are finite and
+    // non-negative, so `!dist.to_bits()` orders them farthest-first.
+    let mut order: Vec<(u64, usize)> = (0..n)
         .filter(|&i| mask.get(i).copied().unwrap_or(false) && tree.is_reachable(NodeId(i)))
+        .map(|i| (!tree.dist[i].to_bits(), i))
         .collect();
-    order.sort_by(|&a, &b| {
-        tree.dist_to_sink(NodeId(b))
-            .partial_cmp(&tree.dist_to_sink(NodeId(a)))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    for &i in &order {
+    order.sort_unstable();
+    for &(_, i) in &order {
         tx[i] += net.sensing_rates_bps()[i];
         if let Some(p) = tree.parent(NodeId(i)) {
             rx[p.0] += tx[i];
@@ -465,28 +470,15 @@ pub fn node_power(
     out
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Item {
-    d: f64,
-    v: usize,
-}
+/// Dijkstra's min-heap of `(distance bits, node)` keys.
+type Heap = BinaryHeap<Reverse<(u64, usize)>>;
 
-impl Eq for Item {}
-
-impl Ord for Item {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .d
-            .partial_cmp(&self.d)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| other.v.cmp(&self.v))
-    }
-}
-
-impl PartialOrd for Item {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// Heap key of node `v` at distance `d`. Distances are finite and
+/// non-negative, where `to_bits` is monotone, so keys pop in `(d, v)` order
+/// with the lowest id first among equal distances.
+#[inline]
+fn key(d: f64, v: usize) -> Reverse<(u64, usize)> {
+    Reverse((d.to_bits(), v))
 }
 
 #[cfg(test)]
@@ -534,6 +526,11 @@ mod tests {
         assert!(!tree.is_reachable(NodeId(2)));
         assert!(tree.path_to_sink(NodeId(2)).is_empty());
         assert_eq!(tree.reachable_count(), 1);
+        // Masked-out and cut-off nodes sit at infinity; the survivor keeps
+        // its direct distance.
+        assert!(tree.dist_to_sink(NodeId(1)).is_infinite());
+        assert!(tree.dist_to_sink(NodeId(4)).is_infinite());
+        assert!((tree.dist_to_sink(NodeId(0)) - 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -264,14 +264,19 @@ impl Deserialize for World {
         let entries = value
             .as_map()
             .ok_or_else(|| serde::Error::expected("map", "World"))?;
+        let net: Network = Deserialize::from_value(serde::map_get(entries, "net")?)?;
+        let requests = RequestQueue::from_value_within(
+            serde::map_get(entries, "requests")?,
+            net.node_count(),
+        )?;
         let mut world = World {
-            net: Deserialize::from_value(serde::map_get(entries, "net")?)?,
+            net,
             charger: Deserialize::from_value(serde::map_get(entries, "charger")?)?,
             config: Deserialize::from_value(serde::map_get(entries, "config")?)?,
             time_s: Deserialize::from_value(serde::map_get(entries, "time_s")?)?,
             tree: Deserialize::from_value(serde::map_get(entries, "tree")?)?,
             power_w: Deserialize::from_value(serde::map_get(entries, "power_w")?)?,
-            requests: Deserialize::from_value(serde::map_get(entries, "requests")?)?,
+            requests,
             trace: Deserialize::from_value(serde::map_get(entries, "trace")?)?,
             lifetime_s: Deserialize::from_value(serde::map_get(entries, "lifetime_s")?)?,
             depot_visits: Deserialize::from_value(serde::map_get(entries, "depot_visits")?)?,

@@ -59,6 +59,15 @@ cmp -s "$scale_b" "$scale_t8" \
   || { echo "scale trace differs between thread counts 1 and 8" >&2; exit 1; }
 rm -rf "$scale_a" "$scale_b" "$scale_t8" "$scale_dir"
 
+echo "== scale-smoke: 25k-node campaign within 15 s"
+# The 25k-node scale campaign took ~19 s while the request rescan after each
+# death was O(n x pending); it runs in ~1 s with the queue's membership
+# index. The timeout keeps that quadratic scan from coming back unnoticed.
+# The binary is built first so only the run is timed.
+cargo build -p wrsn-bench --release --bin exp
+WRSN_SCALE_SIZES=25000 timeout 15 target/release/exp --id scale >/dev/null \
+  || { echo "25k-node scale campaign did not finish within 15 s" >&2; exit 1; }
+
 echo "== arms-race smoke: thread counts 1 and 4, identical ROC artifacts"
 # The online audit is serial in-world code: the full ROC artifact (grid +
 # summary CSVs) must be byte-identical at any worker-thread count, and no
