@@ -59,8 +59,6 @@ struct ExpOutput {
     /// Effective worker threads the experiment's worlds ran with, recorded
     /// at run time (a replay reports the original run's value).
     threads: usize,
-    /// Effective spatial shards, recorded the same way.
-    shards: usize,
 }
 
 impl ExpOutput {
@@ -73,7 +71,6 @@ impl ExpOutput {
             jsonl: self.jsonl.clone(),
             counters: self.counters.clone(),
             threads: self.threads,
-            shards: self.shards,
         }
     }
 
@@ -87,7 +84,6 @@ impl ExpOutput {
             counters: stored.counters,
             spans: Vec::new(),
             threads: stored.threads,
-            shards: stored.shards,
         }
     }
 }
@@ -128,7 +124,6 @@ fn run_experiment(id: &'static str, observe: bool) -> Result<ExpOutput, BenchErr
         // Recorded at run time so a `--resume` replay reports the strategy
         // the numbers were actually produced with, not today's environment.
         threads: parallel::threads(),
-        shards: parallel::shards(),
     })
 }
 
@@ -191,7 +186,6 @@ fn json_report(outputs: &[ExpOutput], planner: &[(usize, f64)], campaign: &Campa
                 ("id".to_string(), Value::Str(o.id.to_string())),
                 ("wall_s".to_string(), Value::F64(o.wall_s)),
                 ("threads".to_string(), Value::U64(o.threads as u64)),
-                ("shards".to_string(), Value::U64(o.shards as u64)),
             ];
             if !o.counters.is_empty() {
                 entry.push((
@@ -238,7 +232,6 @@ fn json_report(outputs: &[ExpOutput], planner: &[(usize, f64)], campaign: &Campa
             "threads".to_string(),
             Value::U64(parallel::threads() as u64),
         ),
-        ("shards".to_string(), Value::U64(parallel::shards() as u64)),
         ("git_rev".to_string(), Value::Str(git_rev())),
         (
             "campaign".to_string(),

@@ -22,8 +22,8 @@
 //! detection rate, FPR, time-to-detection, probe overhead, and the adaptive
 //! attacker's quantified real-energy bill.
 //!
-//! Every cell is seeded; the whole artifact is byte-identical across
-//! `WRSN_THREADS`/`WRSN_SHARDS` settings (audits are serial in-world code).
+//! Every cell is seeded; the whole artifact is byte-identical at any
+//! `WRSN_THREADS` setting (audits are serial in-world code).
 
 use wrsn::core::attack::{evaluate_attack, CsaAttackPolicy};
 use wrsn::scenario::Scenario;

@@ -86,9 +86,7 @@ pub fn tide_config(n: usize) -> TideConfig {
 pub struct ScaleRow {
     /// Network size.
     pub nodes: usize,
-    /// Shard count the world ran with.
-    pub shards: usize,
-    /// Worker threads the parallel shard executor ran with.
+    /// Worker threads the world's graph build and power recompute ran with.
     pub threads: usize,
     /// Seconds to deploy and build the world (graph, routing, grid).
     pub build_s: f64,
@@ -110,14 +108,12 @@ pub fn run_at_size_with(n: usize, rec: &mut dyn Recorder) -> ScaleRow {
     let built = Instant::now();
     let mut world = scenario.build();
     let build_s = built.elapsed().as_secs_f64();
-    let shards = world.shards();
     let threads = world.threads();
     let ran = Instant::now();
     let (report, outcome) = run_csa_scaled_with(&mut world, config, rec);
     let run_s = ran.elapsed().as_secs_f64();
     ScaleRow {
         nodes: n,
-        shards,
         threads,
         build_s,
         run_s,
@@ -137,7 +133,6 @@ pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
         "scale: CSA campaign wall-clock vs network size (SoA engine)",
         &[
             "nodes",
-            "shards",
             "threads",
             "build (s)",
             "campaign (s)",
@@ -156,7 +151,6 @@ pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
         rec.span_exit(span);
         table.push(vec![
             row.nodes.to_string(),
-            row.shards.to_string(),
             row.threads.to_string(),
             f(row.build_s, 3),
             f(row.run_s, 3),

@@ -212,8 +212,6 @@ pub struct StoredOutput {
     /// field fails deserialization, which the replay path already treats as
     /// a corrupt artifact: the experiment deterministically re-runs.
     pub threads: usize,
-    /// Spatial shards the run executed with (same compatibility story).
-    pub shards: usize,
 }
 
 /// Path of the artifact for `id` under `out_dir`.
@@ -355,7 +353,6 @@ mod tests {
             jsonl: vec!["{\"t\":\"meta\"}".to_string()],
             counters: vec![("sessions_started".to_string(), 7)],
             threads: 2,
-            shards: 8,
         };
         let digest = save_artifact(&dir, &output).expect("save");
         assert_eq!(digest.len(), 16);
@@ -390,7 +387,6 @@ mod tests {
             jsonl: Vec::new(),
             counters: Vec::new(),
             threads: 1,
-            shards: 1,
         };
         let digest = save_artifact(&dir, &output).expect("save");
         let path = artifact_path(&dir, "fig2");
@@ -426,7 +422,6 @@ mod tests {
             jsonl: Vec::new(),
             counters: Vec::new(),
             threads: 1,
-            shards: 1,
         };
         save_artifact(&dir, &output).expect("save artifact");
         let mut walk = vec![dir.clone()];

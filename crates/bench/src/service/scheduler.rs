@@ -192,8 +192,8 @@ impl ServiceCounters {
     }
 
     /// A JSON snapshot for the `stats` control op. Alongside the request
-    /// tallies it reports the effective execution strategy — worker threads
-    /// and spatial shards — every payload's world runs with, so a campaign
+    /// tallies it reports the effective execution strategy — the worker
+    /// thread count — every payload's world runs with, so a campaign
     /// driver can record *how* its numbers were produced without parsing the
     /// daemon's environment.
     pub fn to_value(&self) -> Value {
@@ -202,10 +202,6 @@ impl ServiceCounters {
             (
                 "threads".to_string(),
                 Value::U64(wrsn::sim::parallel::threads() as u64),
-            ),
-            (
-                "shards".to_string(),
-                Value::U64(wrsn::sim::parallel::shards() as u64),
             ),
             ("received".to_string(), u(&self.received)),
             ("ok".to_string(), u(&self.ok)),

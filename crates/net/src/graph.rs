@@ -29,7 +29,7 @@ use crate::node::{NodeId, SensorNode};
 /// Per-node state lives in struct-of-arrays columns (positions, sensing
 /// rates, battery levels, status flags) rather than a `Vec<SensorNode>`:
 /// the simulation engine's fused segment loop iterates dense parallel
-/// slices, and spatial shards advance disjoint column ranges.
+/// slices.
 /// [`SensorNode`] remains the construction/config view — [`Network::build`]
 /// columnises a node list, and [`Network::node`] materialises a node back
 /// from the columns on demand.
@@ -822,12 +822,11 @@ fn fan_out<P: Send>(parts: Vec<P>, f: impl Fn(P) + Sync) {
     });
 }
 
-/// Origin (minimum x/y) of the uniform grid over `positions` — the anchor
-/// both the adjacency build and the simulator's spatial shard map use, so
-/// shards partition nodes by exactly the cells adjacency was bucketed by.
+/// Origin (minimum x/y) of the uniform grid the adjacency build buckets
+/// `positions` into.
 ///
 /// Returns `(0.0, 0.0)` for an empty slice.
-pub fn grid_origin(positions: &[Point]) -> (f64, f64) {
+fn grid_origin(positions: &[Point]) -> (f64, f64) {
     if positions.is_empty() {
         return (0.0, 0.0);
     }
@@ -843,7 +842,7 @@ pub fn grid_origin(positions: &[Point]) -> (f64, f64) {
 /// Cell coordinates of `p` in a uniform grid anchored at `(min_x, min_y)`
 /// with cell side `1 / inv_cell`.
 #[inline]
-pub fn grid_cell(p: Point, min_x: f64, min_y: f64, inv_cell: f64) -> (i64, i64) {
+fn grid_cell(p: Point, min_x: f64, min_y: f64, inv_cell: f64) -> (i64, i64) {
     (
         ((p.x - min_x) * inv_cell).floor() as i64,
         ((p.y - min_y) * inv_cell).floor() as i64,

@@ -30,13 +30,9 @@
 //! assert!(keys.len() <= net.node_count());
 //! ```
 
-// `deny` rather than `forbid`: the [`cells`] module opts back in for the one
-// shared battery-column view that parallel shard execution needs. Every other
-// module stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cells;
 pub mod deploy;
 pub mod energy;
 pub mod error;
@@ -47,7 +43,6 @@ pub mod metrics;
 pub mod node;
 pub mod routing;
 
-pub use cells::EnergyCells;
 pub use error::NetError;
 pub use geom::{Point, Region};
 pub use graph::{EnergyColumnsMut, Network};

@@ -14,8 +14,8 @@
 //! Probing every session is unaffordable (each probe costs radio time and
 //! base-station budget), so selection is *stochastic but deterministic*: a
 //! seeded FNV-1a hash over `(seed, probe_seq, node)` decides each challenge,
-//! which keeps the whole campaign byte-identical across thread and shard
-//! counts and lets a probe schedule survive `World::snapshot`/`restore`
+//! which keeps the whole campaign byte-identical at any thread count and
+//! lets a probe schedule survive `World::snapshot`/`restore`
 //! without carrying RNG state.
 //!
 //! A single failed probe is not a conviction — degraded hardware
@@ -295,7 +295,7 @@ impl AuditState {
     }
 
     /// Scores one completed charging session. Called by the world at session
-    /// end (serial code — deterministic at any thread/shard count). Returns
+    /// end (serial code — deterministic at any thread count). Returns
     /// the conviction this session triggered, if any.
     pub fn observe_session(
         &mut self,

@@ -36,17 +36,6 @@ pub enum SimError {
     /// An attached [`crate::store::Checkpointer`] could not persist the
     /// world.
     Store(StoreError),
-    /// A worker thread of the parallel shard executor panicked. The panic is
-    /// caught at the shard boundary ([`crate::parallel::scatter`]) and
-    /// surfaced as a typed error, so a poisoned segment kills its run — the
-    /// world may hold a partially applied segment — but never the process or
-    /// sibling campaign experiments.
-    ShardPanic {
-        /// Index of the shard whose worker panicked.
-        shard: usize,
-        /// The panic payload, stringified.
-        message: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -63,9 +52,6 @@ impl fmt::Display for SimError {
                 write!(f, "run cancelled by its supervisor (deadline or shutdown)")
             }
             SimError::Store(e) => write!(f, "checkpoint store error: {e}"),
-            SimError::ShardPanic { shard, message } => {
-                write!(f, "shard {shard} worker panicked: {message}")
-            }
         }
     }
 }

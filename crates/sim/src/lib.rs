@@ -48,10 +48,7 @@
 //! assert!(report.final_time_s > 0.0);
 //! ```
 
-// `deny` rather than `forbid`: the `shard_exec` module opts back in for the
-// shared-column segment kernel that parallel shard execution needs. Every
-// other module stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;
@@ -64,7 +61,6 @@ pub mod obs;
 pub mod parallel;
 pub mod policy;
 pub mod request;
-mod shard_exec;
 pub mod store;
 pub mod trace;
 pub mod world;

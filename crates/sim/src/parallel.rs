@@ -49,38 +49,11 @@ pub const THREADS_ENV: &str = "WRSN_THREADS";
 /// harness binaries, not by this module.
 pub const TIMEOUT_ENV: &str = "WRSN_TIMEOUT_S";
 
-/// Environment variable overriding the engine's spatial shard count (see
-/// [`crate::World::set_shards`]). Unset, non-numeric or zero means unsharded.
-pub const SHARDS_ENV: &str = "WRSN_SHARDS";
-
-/// Test-only environment variable: when set to a shard index, the engine's
-/// parallel shard executor panics inside that shard's worker on its first
-/// segment, exercising the panic-to-[`crate::SimError`] propagation path.
-/// Read once per process (see [`forced_shard_panic`]).
-pub const FORCE_SHARD_PANIC_ENV: &str = "WRSN_FORCE_SHARD_PANIC";
-
-/// The shard index [`FORCE_SHARD_PANIC_ENV`] poisons, if any. Cached in a
-/// `OnceLock` so the hot loop never re-reads the environment.
-pub fn forced_shard_panic() -> Option<usize> {
-    static FORCED: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var(FORCE_SHARD_PANIC_ENV)
-            .ok()
-            .and_then(|raw| raw.trim().parse::<usize>().ok())
-    })
-}
-
-/// The engine's spatial shard count: `WRSN_SHARDS` if set to a positive
-/// integer, otherwise 1 (unsharded). Sharding never changes simulation
-/// output, so unlike [`threads`] there is no machine-derived default.
+/// The engine's spatial shard count, which is always 1: the segment kernel
+/// runs one sequential pass over every node. Kept so run metadata writers
+/// that record it keep building.
 pub fn shards() -> usize {
-    match std::env::var(SHARDS_ENV) {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => 1,
-        },
-        Err(_) => 1,
-    }
+    1
 }
 
 /// The worker thread count: `WRSN_THREADS` if set to a positive integer,
@@ -349,94 +322,6 @@ where
     indexed.into_iter().map(|(_, value)| value).collect()
 }
 
-/// Fans `f(index, &mut slots[index])` over up to `workers` scoped threads,
-/// each worker owning a contiguous chunk of `slots` — the engine's per-shard
-/// scatter primitive, where each slot is a shard's private accumulator.
-///
-/// Unlike [`try_map_indexed`] there is no dynamic cursor and no retry: shard
-/// work is deterministic (a panic would only repeat) and slot results are
-/// merged by the caller in slot order, so static chunking keeps the harness
-/// minimal. Workers inherit the spawning thread's cancellation token (nested
-/// polls inside `f` observe the ancestor's deadline), and a panic in `f` is
-/// caught per item and reported as the lowest-index [`WorkerError`]; the
-/// remaining items in other chunks still run.
-///
-/// With one worker (or one slot) this degenerates to a plain sequential loop
-/// on the calling thread.
-pub fn scatter<T, F>(workers: usize, slots: &mut [T], f: F) -> Result<(), WorkerError>
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let count = slots.len();
-    let workers = workers.clamp(1, count.max(1));
-    let inherited = cancel::current();
-    if workers <= 1 {
-        // Calling thread already holds `inherited` as its current token.
-        for (index, slot) in slots.iter_mut().enumerate() {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(index, slot))) {
-                return Err(WorkerError {
-                    index,
-                    attempts: 1,
-                    kind: FailureKind::Panic,
-                    message: payload_message(payload.as_ref()),
-                });
-            }
-        }
-        return Ok(());
-    }
-    let chunk = count.div_ceil(workers);
-    let mut first_error: Option<WorkerError> = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = slots
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(c, part)| {
-                let inherited = &inherited;
-                let f = &f;
-                scope.spawn(move || {
-                    let base = c * chunk;
-                    for (k, slot) in part.iter_mut().enumerate() {
-                        let index = base + k;
-                        let guard = inherited.clone().map(ScopedCancel::install);
-                        let result = catch_unwind(AssertUnwindSafe(|| f(index, slot)));
-                        drop(guard);
-                        if let Err(payload) = result {
-                            // First failure in this chunk wins; later slots in
-                            // the chunk are left untouched (the caller discards
-                            // all slots on error).
-                            return Err(WorkerError {
-                                index,
-                                attempts: 1,
-                                kind: FailureKind::Panic,
-                                message: payload_message(payload.as_ref()),
-                            });
-                        }
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    if first_error.as_ref().is_none_or(|f| e.index < f.index) {
-                        first_error = Some(e);
-                    }
-                }
-                // Workers catch panics in `f`; a join failure means the
-                // harness itself is broken, which is not survivable.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    match first_error {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -598,54 +483,5 @@ mod tests {
         let e = out[0].as_ref().unwrap_err();
         assert_eq!(e.kind, FailureKind::Panic);
         assert!(e.message.contains("genuine bug"));
-    }
-
-    #[test]
-    fn scatter_fills_every_slot_at_any_worker_count() {
-        for workers in [1, 2, 3, 7, 16] {
-            let mut slots = vec![0usize; 11];
-            scatter(workers, &mut slots, |i, slot| *slot = i * i).unwrap();
-            assert_eq!(
-                slots,
-                (0..11).map(|i| i * i).collect::<Vec<_>>(),
-                "workers {workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn scatter_reports_the_lowest_poisoned_slot() {
-        for workers in [1, 4] {
-            let mut slots = vec![0usize; 8];
-            let e = scatter(workers, &mut slots, |i, slot| {
-                if i == 5 || i == 2 {
-                    panic!("slot {i} poisoned");
-                }
-                *slot = i;
-            })
-            .unwrap_err();
-            assert_eq!(e.index, 2, "workers {workers}");
-            assert_eq!(e.kind, FailureKind::Panic);
-            assert!(e.message.contains("poisoned"), "message: {}", e.message);
-        }
-    }
-
-    #[test]
-    fn scatter_workers_inherit_the_cancel_token() {
-        let token = CancelToken::new();
-        token.cancel();
-        let _guard = ScopedCancel::install(token);
-        let mut seen = vec![false; 6];
-        scatter(3, &mut seen, |_, slot| *slot = cancel::cancelled()).unwrap();
-        assert!(seen.into_iter().all(|s| s));
-    }
-
-    #[test]
-    fn scatter_handles_empty_and_single_slots() {
-        let mut empty: Vec<usize> = Vec::new();
-        scatter(4, &mut empty, |_, _| unreachable!()).unwrap();
-        let mut one = vec![0usize];
-        scatter(4, &mut one, |i, slot| *slot = i + 9).unwrap();
-        assert_eq!(one, vec![9]);
     }
 }

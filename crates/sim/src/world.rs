@@ -12,7 +12,7 @@ use wrsn_net::energy::RadioEnergyModel;
 use wrsn_net::keynode;
 use wrsn_net::metrics::{self, HealthSnapshot};
 use wrsn_net::routing::{self, RoutingTree, TrafficLoad};
-use wrsn_net::{Network, NodeId};
+use wrsn_net::{EnergyColumnsMut, Network, NodeId};
 
 use crate::audit::{AuditConfig, AuditState, SessionObservation};
 use crate::charger::{ChargeMode, MobileCharger};
@@ -21,7 +21,6 @@ use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::obs::{self, Counter, Gauge, Recorder, TraceRecord};
 use crate::policy::{ChargerAction, ChargerPolicy, WorldView};
 use crate::request::{ChargeRequest, RequestQueue};
-use crate::shard_exec::{self, SegmentCtx, ShardSlot};
 use crate::store::Checkpointer;
 use crate::trace::{ChargeSession, SimEvent, Trace};
 
@@ -128,15 +127,9 @@ pub struct World {
     /// serialized, never part of a [`Checkpoint`], never perturbs the
     /// trajectory.
     ckpt: Option<Checkpointer>,
-    /// Number of spatial shards the advance loop partitions the node columns
-    /// into (1 = unsharded). Pure execution strategy, like `ckpt`: never
-    /// serialized, preserved across [`World::restore`], and byte-identical
-    /// output at any value.
-    shard_count: usize,
-    /// Worker threads the sharded advance fans shards over (1 = run shards
-    /// sequentially on the calling thread). Pure execution strategy like
-    /// `shard_count`: never serialized, preserved across [`World::restore`],
-    /// byte-identical output at any value.
+    /// Worker threads the full power recompute fans over (1 = sequential).
+    /// Pure execution strategy, like `ckpt`: never serialized, preserved
+    /// across [`World::restore`], byte-identical output at any value.
     thread_count: usize,
     scratch: Scratch,
 }
@@ -174,13 +167,6 @@ struct Scratch {
     /// rebuild/scan entirely. Cleared by every out-of-loop mutation
     /// (`refresh_full`, `set_battery_level`).
     horizon: Option<(Option<NodeId>, u64, f64)>,
-    /// Spatial shard map: node indices grouped by uniform-grid locality, each
-    /// shard sorted ascending. Empty when `World::shard_count <= 1` (the
-    /// unsharded fast path iterates `alive_idx` directly).
-    shards: Vec<Vec<usize>>,
-    /// Per-shard accumulators for the parallel advance, one per shard (kept
-    /// sized by [`World::rebuild_shards`] so the hot loop never allocates).
-    shard_slots: Vec<ShardSlot>,
 }
 
 impl Default for Scratch {
@@ -198,8 +184,6 @@ impl Default for Scratch {
                 tx_bps: Vec::new(),
             },
             horizon: None,
-            shards: Vec::new(),
-            shard_slots: Vec::new(),
         }
     }
 }
@@ -290,7 +274,6 @@ impl Deserialize for World {
                 None => None,
             },
             ckpt: None,
-            shard_count: crate::parallel::shards(),
             thread_count: crate::parallel::threads(),
             scratch: Scratch::default(),
         };
@@ -300,7 +283,85 @@ impl Deserialize for World {
 }
 
 /// Relative tolerance when matching a node's depletion instant.
-pub(crate) const DEATH_EPS: f64 = 1e-9;
+const DEATH_EPS: f64 = 1e-9;
+
+/// Per-segment inputs of [`apply_segment`]: the current power/drain columns
+/// and the injection applied over the segment.
+struct Segment<'a> {
+    /// Gross per-node power draw, watts (for saturation bookkeeping).
+    power_w: &'a [f64],
+    /// Net battery drain per node, watts (negative = charging).
+    net_w: &'a [f64],
+    /// The node receiving wireless charge, if any.
+    inject_node: Option<NodeId>,
+    /// Effective injected power, watts (after fault degradation).
+    eff_w: f64,
+    /// Segment length, seconds.
+    step: f64,
+}
+
+/// Applies one integration segment to every node in `alive_idx`: drains (or
+/// charges, for the injected node) each battery over `seg.step` seconds,
+/// records deaths in `dead` and warning-threshold crossings in `crossed`
+/// (both ascending, since `alive_idx` is), folds the next event horizon into
+/// `t_next`, and returns the energy stored in the inject node's battery.
+fn apply_segment(
+    cols: &mut EnergyColumnsMut<'_>,
+    alive_idx: &[usize],
+    seg: &Segment<'_>,
+    t_next: &mut f64,
+    dead: &mut Vec<NodeId>,
+    crossed: &mut Vec<usize>,
+) -> f64 {
+    let mut stored = 0.0;
+    for &i in alive_idx {
+        let w = seg.net_w[i];
+        let nid = NodeId(i);
+        if w == 0.0 && seg.inject_node != Some(nid) {
+            // Zero drain, no injection: the battery cannot move.
+            continue;
+        }
+        let was_low = cols.needs_charging(i);
+        if w > 0.0 {
+            cols.discharge(i, w * seg.step);
+            // Snap float residue: if the remaining charge lasts under a
+            // nanosecond at this drain, the node is dead now.
+            if cols.level_j[i] <= w * DEATH_EPS {
+                cols.set_level(i, 0.0);
+            }
+            if cols.depleted[i] {
+                // Dead nodes get a full request scan during the topology
+                // refresh, so none is queued here.
+                dead.push(nid);
+            } else {
+                let level = cols.level_j[i];
+                let warning = cols.warning_j[i];
+                *t_next = t_next.min(level / w);
+                if level > warning {
+                    *t_next = t_next.min((level - warning) / w);
+                }
+                if cols.needs_charging(i) != was_low {
+                    crossed.push(i);
+                }
+            }
+            if seg.inject_node == Some(nid) {
+                // Net drain positive means no saturation: the battery
+                // absorbed the full injected inflow.
+                stored += seg.eff_w * seg.step;
+            }
+        } else {
+            let gained = cols.charge(i, -w * seg.step);
+            if cols.needs_charging(i) != was_low {
+                crossed.push(i);
+            }
+            if seg.inject_node == Some(nid) {
+                // Saturated batteries absorb less than injected.
+                stored += gained + seg.power_w[i] * seg.step;
+            }
+        }
+    }
+    stored
+}
 
 impl World {
     /// Creates a world at `t = 0` with full batteries.
@@ -321,12 +382,10 @@ impl World {
             faults: None,
             audit: None,
             ckpt: None,
-            shard_count: crate::parallel::shards(),
             thread_count: crate::parallel::threads(),
             scratch: Scratch::default(),
         };
         world.refresh_full();
-        world.rebuild_shards();
         world
     }
 
@@ -399,28 +458,14 @@ impl World {
         self.ckpt.as_ref()
     }
 
-    /// Sets the number of spatial shards the advance loop partitions the
-    /// node columns into (values below 1 clamp to 1 = unsharded). Sharding
-    /// is a pure execution strategy: the trajectory, trace and snapshots are
-    /// byte-identical at any shard count. New worlds start from the
-    /// [`crate::parallel::SHARDS_ENV`] environment variable (default 1).
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shard_count = shards.max(1);
-        self.rebuild_shards();
-    }
-
-    /// The configured spatial shard count (1 = unsharded).
-    pub fn shards(&self) -> usize {
-        self.shard_count
-    }
-
-    /// Sets the number of worker threads the sharded advance fans shards over
-    /// (values below 1 clamp to 1 = sequential). Like sharding, threading is
-    /// a pure execution strategy: the trajectory, trace and snapshots are
-    /// byte-identical at any thread count. It only takes effect together with
-    /// `set_shards(n >= 2)` — with one shard there is nothing to fan out.
-    /// New worlds start from the [`crate::parallel::THREADS_ENV`] environment
-    /// variable (default: available parallelism).
+    /// Sets the number of worker threads the full power recompute fans over
+    /// (values below 1 clamp to 1 = sequential). It only takes effect on
+    /// networks of at least 8192 nodes; smaller ones always recompute on the
+    /// calling thread. Threading is a
+    /// pure execution strategy: the trajectory, trace and snapshots are
+    /// byte-identical at any thread count. New worlds start from the
+    /// [`crate::parallel::THREADS_ENV`] environment variable (default:
+    /// available parallelism).
     pub fn set_threads(&mut self, threads: usize) {
         self.thread_count = threads.max(1);
     }
@@ -508,52 +553,6 @@ impl World {
     fn rebuild_scratch(&mut self) {
         self.rebuild_alive();
         self.scratch.load = routing::traffic_load(&self.net, &self.tree, &self.scratch.alive);
-        self.rebuild_shards();
-    }
-
-    /// Rebuilds the spatial shard map: every node (alive or not) is bucketed
-    /// by the same uniform-grid cell the adjacency build hashes on (cell side
-    /// = comm range), cells are ordered lexicographically, and the ordered
-    /// cell list is cut into `shard_count` contiguous blocks of roughly equal
-    /// node count, each sorted ascending. Membership is a pure function of
-    /// positions, comm range and shard count — identical across runs,
-    /// restores and thread counts, which is what makes the sharded advance
-    /// deterministic.
-    fn rebuild_shards(&mut self) {
-        self.scratch.shards.clear();
-        self.scratch.shard_slots.clear();
-        let n = self.net.node_count();
-        if self.shard_count <= 1 || n == 0 {
-            return;
-        }
-        let positions = self.net.positions();
-        let (min_x, min_y) = wrsn_net::graph::grid_origin(positions);
-        let inv_cell = 1.0 / self.net.comm_range();
-        let mut cells: std::collections::BTreeMap<(i64, i64), Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for (i, &p) in positions.iter().enumerate() {
-            cells
-                .entry(wrsn_net::graph::grid_cell(p, min_x, min_y, inv_cell))
-                .or_default()
-                .push(i);
-        }
-        let shard_count = self.shard_count.min(n);
-        let target = n.div_ceil(shard_count);
-        let mut shard: Vec<usize> = Vec::new();
-        for members in cells.into_values() {
-            shard.extend(members);
-            if shard.len() >= target && self.scratch.shards.len() + 1 < shard_count {
-                shard.sort_unstable();
-                self.scratch.shards.push(std::mem::take(&mut shard));
-            }
-        }
-        if !shard.is_empty() {
-            shard.sort_unstable();
-            self.scratch.shards.push(shard);
-        }
-        self.scratch
-            .shard_slots
-            .resize_with(self.scratch.shards.len(), ShardSlot::default);
     }
 
     /// Recomputes routing/power from scratch after a topology change, updates
@@ -882,86 +881,28 @@ impl World {
             // and accumulates the next event time bit-identically to a fresh
             // `next_event_horizon` scan (same nodes ascending, same values).
             let mut t_next = f64::INFINITY;
-            {
-                let threads = self.thread_count;
-                let mut cols = self.net.energy_mut();
-                let Scratch {
-                    alive,
-                    alive_idx,
-                    net_w,
-                    dead,
-                    crossed,
-                    shards,
-                    shard_slots,
-                    ..
-                } = &mut self.scratch;
-                let ctx = SegmentCtx {
-                    power_w: &self.power_w,
-                    net_w: net_w.as_slice(),
-                    inject_node,
-                    eff_w,
-                    step,
-                };
-                if shards.is_empty() {
-                    stored += shard_exec::apply_sequential(
-                        &mut cols,
-                        alive_idx,
-                        None,
-                        &ctx,
-                        &mut t_next,
-                        dead,
-                        crossed,
-                    );
-                } else {
-                    // Sharded advance: every per-node update is independent
-                    // of every other node's, so each shard applies the same
-                    // ops to its own members (filtered by the alive mask —
-                    // shards keep dead members, `alive_idx` does not), and
-                    // the cross-shard effect lists are merged back into the
-                    // ascending index order the unsharded loop produces.
-                    // `t_next` is a min-fold (exactly associative) and
-                    // `stored` is only ever contributed by the inject node's
-                    // shard, so the merge is bitwise equal to the fast path
-                    // at any shard × thread count.
-                    if threads > 1 && shards.len() > 1 {
-                        // Parallel: each shard fills a private slot; the
-                        // merge below replays the sequential loop's exact
-                        // accumulation sequence in ascending shard order.
-                        shard_exec::apply_shards_parallel(
-                            &mut cols,
-                            shards,
-                            alive,
-                            threads,
-                            &ctx,
-                            shard_slots,
-                        )
-                        .map_err(|e| SimError::ShardPanic {
-                            shard: e.index,
-                            message: e.message,
-                        })?;
-                        for slot in shard_slots.iter_mut() {
-                            stored += slot.stored;
-                            t_next = t_next.min(slot.t_next);
-                            dead.append(&mut slot.dead);
-                            crossed.append(&mut slot.crossed);
-                        }
-                    } else {
-                        for shard in shards.iter() {
-                            stored += shard_exec::apply_sequential(
-                                &mut cols,
-                                shard,
-                                Some(alive),
-                                &ctx,
-                                &mut t_next,
-                                dead,
-                                crossed,
-                            );
-                        }
-                    }
-                    dead.sort_unstable();
-                    crossed.sort_unstable();
-                }
-            }
+            let Scratch {
+                alive_idx,
+                net_w,
+                dead,
+                crossed,
+                ..
+            } = &mut self.scratch;
+            let seg = Segment {
+                power_w: &self.power_w,
+                net_w,
+                inject_node,
+                eff_w,
+                step,
+            };
+            stored += apply_segment(
+                &mut self.net.energy_mut(),
+                alive_idx,
+                &seg,
+                &mut t_next,
+                dead,
+                crossed,
+            );
             self.time_s += step;
             remaining -= step;
             if let Some(at) = fault_at {
@@ -1328,14 +1269,11 @@ impl World {
     pub fn restore(&mut self, checkpoint: &Checkpoint) {
         // Supervision attachments and execution strategy survive a restore: a
         // world resuming from disk keeps writing its periodic checkpoints and
-        // keeps its configured shard and thread counts (neither changes
-        // output).
+        // keeps its configured thread count (which never changes output).
         let ckpt = self.ckpt.take();
-        let shard_count = self.shard_count;
         let thread_count = self.thread_count;
         *self = checkpoint.state.clone();
         self.ckpt = ckpt.map(|c| c.armed_at(self.time_s));
-        self.shard_count = shard_count;
         self.thread_count = thread_count;
         self.scratch = Scratch::default();
         self.rebuild_scratch();
