@@ -7,6 +7,7 @@ use std::hint::black_box;
 use wrsn::core::tide::TideInstance;
 use wrsn::core::{csa, exact};
 use wrsn::em::{superposition, Wave};
+use wrsn::net::keynode::{self, KeyNodeConfig};
 use wrsn::net::routing::RoutingTree;
 use wrsn::scenario::Scenario;
 
@@ -36,6 +37,12 @@ fn bench_network(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("articulation_points", n), &n, |b, _| {
             b.iter(|| net.articulation_points(black_box(&mask)))
+        });
+        group.bench_with_input(BenchmarkId::new("stranded_counts", n), &n, |b, _| {
+            b.iter(|| keynode::stranded_counts(black_box(&net), black_box(&mask)))
+        });
+        group.bench_with_input(BenchmarkId::new("keynode_identify", n), &n, |b, _| {
+            b.iter(|| keynode::identify(black_box(&net), &KeyNodeConfig::default()))
         });
     }
     group.finish();

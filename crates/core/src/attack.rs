@@ -301,7 +301,11 @@ impl CsaAttackPolicy {
             return ChargerAction::Recharge;
         }
         if self.initial_instance.is_none() {
+            // The key-node census dominates the first decision; its own span
+            // keeps it out of `policy_decide` self time.
+            rec.span_enter("census");
             let census = self.make_instance(view);
+            rec.span_exit("census");
             // `served` is necessarily empty here, so the whole census is
             // unserved and fair game for exclusion from decoy rescues.
             self.unserved = census.victims.iter().map(|v| (v.node, v.weight)).collect();

@@ -545,11 +545,6 @@ impl Network {
         (&topo.nbr[row.clone()], &topo.len[row])
     }
 
-    /// Degree of `id`.
-    pub fn degree(&self, id: NodeId) -> usize {
-        self.neighbors(id).len()
-    }
-
     /// Nodes within communication range of the sink.
     pub fn sink_neighbors(&self) -> &[NodeId] {
         &self.topology.sink_neighbors
@@ -640,9 +635,27 @@ impl Network {
         reach.iter().filter(|&&r| r).count() as f64 / alive as f64
     }
 
+    /// Panics unless `mask` has exactly one entry per node: the contract of
+    /// every masked census algorithm ([`Network::articulation_points`],
+    /// [`Network::betweenness`] and the key-node census built on them).
+    #[track_caller]
+    pub(crate) fn assert_mask_len(&self, mask: &[bool]) {
+        assert!(
+            mask.len() == self.node_count(),
+            "alive mask has {} entries but the network has {} nodes",
+            mask.len(),
+            self.node_count()
+        );
+    }
+
     /// Articulation points (cut vertices) of the subgraph induced by `mask`,
     /// via Tarjan's low-link algorithm. Sorted by id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask.len() != self.node_count()`.
     pub fn articulation_points(&self, mask: &[bool]) -> Vec<NodeId> {
+        self.assert_mask_len(mask);
         let n = self.positions.len();
         let mut disc = vec![usize::MAX; n];
         let mut low = vec![0usize; n];
@@ -651,7 +664,7 @@ impl Network {
 
         // Iterative DFS to avoid stack overflow on large nets.
         for root in 0..n {
-            if disc[root] != usize::MAX || !mask.get(root).copied().unwrap_or(false) {
+            if disc[root] != usize::MAX || !mask[root] {
                 continue;
             }
             // Stack frames: (vertex, parent, next-neighbour-index).
@@ -698,55 +711,119 @@ impl Network {
 
     /// Unweighted betweenness centrality (Brandes) of the subgraph induced by
     /// `mask`; masked-out nodes score `0`.
+    ///
+    /// One BFS per alive source costs O(n·m) in total, and nothing is
+    /// allocated per source: the masked adjacency is compacted into a `u32`
+    /// CSR once, each node's predecessors fill its own slots of one flat
+    /// buffer (one slot per masked in-edge), and `sigma`/`dist`/`delta` are
+    /// reset only over the nodes the previous source reached. The result is
+    /// bit-identical to the textbook per-source form: `delta[p]` receives
+    /// exactly one term per successor `w`, added in reverse BFS order, and
+    /// `cb` sums the sources in ascending order, so the order of
+    /// predecessors within one `w` never reaches the bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask.len() != self.node_count()`.
     pub fn betweenness(&self, mask: &[bool]) -> Vec<f64> {
+        self.assert_mask_len(mask);
         let n = self.positions.len();
+        let (off, nbr) = self.masked_csr(mask);
+        // In-edge slots: node `v` owns `preds[pred_off[v]..pred_off[v + 1]]`.
+        let mut pred_off = vec![0u32; n + 1];
+        for &v in &nbr {
+            pred_off[v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            pred_off[v + 1] += pred_off[v];
+        }
+        let mut preds = vec![0u32; nbr.len()];
+        let mut npred = vec![0u32; n];
+        let mut sigma = vec![0.0f64; n];
+        let mut dist = vec![u32::MAX; n];
+        let mut delta = vec![0.0f64; n];
+        // BFS queue and visit order at once: nodes are appended on discovery
+        // and `head` walks them in FIFO order.
+        let mut order: Vec<u32> = Vec::with_capacity(n);
         let mut cb = vec![0.0f64; n];
         for s in 0..n {
-            if !mask.get(s).copied().unwrap_or(false) {
+            if !mask[s] {
                 continue;
             }
-            // BFS from s.
-            let mut sigma = vec![0.0f64; n];
-            let mut dist = vec![-1i64; n];
-            let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-            let mut order = Vec::with_capacity(n);
             sigma[s] = 1.0;
             dist[s] = 0;
-            let mut queue = std::collections::VecDeque::new();
-            queue.push_back(s);
-            while let Some(u) = queue.pop_front() {
-                order.push(u);
-                for &v in self.neighbors(NodeId(u)) {
-                    let v = v.0;
-                    if !mask[v] {
-                        continue;
+            order.push(s as u32);
+            let mut head = 0;
+            while let Some(&u) = order.get(head) {
+                head += 1;
+                let u = u as usize;
+                let next = dist[u] + 1;
+                for &v in &nbr[off[u] as usize..off[u + 1] as usize] {
+                    let v = v as usize;
+                    if dist[v] == u32::MAX {
+                        dist[v] = next;
+                        order.push(v as u32);
                     }
-                    if dist[v] < 0 {
-                        dist[v] = dist[u] + 1;
-                        queue.push_back(v);
-                    }
-                    if dist[v] == dist[u] + 1 {
+                    if dist[v] == next {
                         sigma[v] += sigma[u];
-                        preds[v].push(u);
+                        preds[(pred_off[v] + npred[v]) as usize] = u as u32;
+                        npred[v] += 1;
                     }
                 }
             }
             // Accumulation in reverse BFS order.
-            let mut delta = vec![0.0f64; n];
             for &w in order.iter().rev() {
-                for &p in &preds[w] {
+                let w = w as usize;
+                let start = pred_off[w] as usize;
+                for &p in &preds[start..start + npred[w] as usize] {
+                    let p = p as usize;
                     delta[p] += sigma[p] / sigma[w] * (1.0 + delta[w]);
                 }
                 if w != s {
                     cb[w] += delta[w];
                 }
             }
+            for &v in &order {
+                let v = v as usize;
+                sigma[v] = 0.0;
+                dist[v] = u32::MAX;
+                delta[v] = 0.0;
+                npred[v] = 0;
+            }
+            order.clear();
         }
         // Undirected graph: each pair counted twice.
         for c in &mut cb {
             *c /= 2.0;
         }
         cb
+    }
+
+    /// The subgraph induced by `mask` as a `u32` CSR `(off, nbr)`: row `v`
+    /// is `nbr[off[v]..off[v + 1]]`, the masked-in neighbours of a
+    /// masked-in `v` in adjacency order, and empty for a masked-out `v`.
+    fn masked_csr(&self, mask: &[bool]) -> (Vec<u32>, Vec<u32>) {
+        let topo = &*self.topology;
+        let n = self.positions.len();
+        assert!(
+            u32::try_from(n.max(topo.nbr.len())).is_ok(),
+            "graph too large for a u32 CSR"
+        );
+        let mut off = Vec::with_capacity(n + 1);
+        let mut nbr = Vec::with_capacity(topo.nbr.len());
+        off.push(0);
+        for v in 0..n {
+            if mask[v] {
+                nbr.extend(
+                    topo.nbr[topo.row(v)]
+                        .iter()
+                        .filter(|u| mask[u.0])
+                        .map(|u| u.0 as u32),
+                );
+            }
+            off.push(nbr.len() as u32);
+        }
+        (off, nbr)
     }
 }
 
@@ -943,6 +1020,18 @@ mod tests {
         for (got, want) in cb.iter().zip(expect) {
             assert!((got - want).abs() < 1e-9, "cb = {cb:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "alive mask has 4 entries but the network has 5 nodes")]
+    fn betweenness_rejects_a_short_mask() {
+        path_net().betweenness(&[true; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "alive mask has 6 entries but the network has 5 nodes")]
+    fn articulation_points_rejects_a_long_mask() {
+        path_net().articulation_points(&[true; 6]);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub struct KeyNodeConfig {
     /// Include cut vertices regardless of rank.
     pub include_cut_vertices: bool,
     /// Largest network for which the exact pipeline (Brandes betweenness,
-    /// Tarjan articulation points, per-candidate stranded counts) runs.
+    /// Tarjan articulation points, [`stranded_counts`]) runs.
     /// Beyond this, [`identify_with_mask`] switches to the near-linear
     /// approximation: hubs ranked by relayed traffic on the routing tree,
     /// cut vertices skipped. The default never approximates.
@@ -63,6 +63,9 @@ impl Default for KeyNodeConfig {
 }
 
 /// Number of alive nodes stranded from the sink if `victim` dies.
+///
+/// The one-node reference for [`stranded_counts`]: two full shortest-path
+/// builds, with and without the victim.
 pub fn stranded_if_dead(net: &Network, mask: &[bool], victim: NodeId) -> usize {
     let before = RoutingTree::shortest_path(net, mask).reachable_count();
     let mut m = mask.to_vec();
@@ -72,6 +75,75 @@ pub fn stranded_if_dead(net: &Network, mask: &[bool], victim: NodeId) -> usize {
     let after = RoutingTree::shortest_path(net, &m).reachable_count();
     // The victim itself no longer counts as reachable; subtract it out.
     before.saturating_sub(after).saturating_sub(1)
+}
+
+/// [`stranded_if_dead`] for every node at once, in O(n + m).
+///
+/// One iterative low-link DFS runs from a virtual sink joined to every
+/// alive sink neighbour, so each sink neighbour has a back edge to the root
+/// and starts with `low = 0`. Removing node `v` cuts off from the sink
+/// exactly the DFS subtrees of its children `c` with `low[c] ≥ disc[v]`, so
+/// `v` strands the sum of their sizes. Masked-out nodes and nodes that
+/// cannot reach the sink strand nothing.
+///
+/// # Panics
+///
+/// Panics if `mask.len() != net.node_count()`.
+pub fn stranded_counts(net: &Network, mask: &[bool]) -> Vec<usize> {
+    net.assert_mask_len(mask);
+    const UNSEEN: usize = usize::MAX;
+    let n = net.node_count();
+    let mut sink_adjacent = vec![false; n];
+    for s in net.sink_neighbors() {
+        sink_adjacent[s.0] = true;
+    }
+    let mut disc = vec![UNSEEN; n];
+    let mut low = vec![0usize; n];
+    let mut size = vec![1usize; n];
+    let mut stranded = vec![0usize; n];
+    // The virtual sink holds discovery time 0.
+    let mut timer = 1usize;
+    // Stack frames: (vertex, next-neighbour-index).
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for root in net.sink_neighbors() {
+        if !mask[root.0] || disc[root.0] != UNSEEN {
+            continue;
+        }
+        disc[root.0] = timer;
+        timer += 1;
+        stack.push((root.0, 0));
+        while let Some(&mut (u, ref mut idx)) = stack.last_mut() {
+            let row = net.neighbors(NodeId(u));
+            if let Some(v) = row.get(*idx) {
+                *idx += 1;
+                let v = v.0;
+                if !mask[v] {
+                    continue;
+                }
+                if disc[v] == UNSEEN {
+                    disc[v] = timer;
+                    low[v] = if sink_adjacent[v] { 0 } else { timer };
+                    timer += 1;
+                    stack.push((v, 0));
+                } else {
+                    // Includes the tree edge to the parent, which cannot
+                    // lower `low[u]` below `disc[parent]` and so never
+                    // changes a cut test.
+                    low[u] = low[u].min(disc[v]);
+                }
+            } else {
+                stack.pop();
+                if let Some(&(p, _)) = stack.last() {
+                    low[p] = low[p].min(low[u]);
+                    size[p] += size[u];
+                    if low[u] >= disc[p] {
+                        stranded[p] += size[u];
+                    }
+                }
+            }
+        }
+    }
+    stranded
 }
 
 /// Identifies the key nodes of the subgraph induced by the alive mask.
@@ -98,8 +170,13 @@ pub fn identify(net: &Network, config: &KeyNodeConfig) -> Vec<KeyNode> {
 }
 
 /// [`identify`] over an explicit alive mask.
+///
+/// # Panics
+///
+/// Panics if `mask.len() != net.node_count()`.
 #[allow(clippy::needless_range_loop)] // index form mirrors the matrix math
 pub fn identify_with_mask(net: &Network, mask: &[bool], config: &KeyNodeConfig) -> Vec<KeyNode> {
+    net.assert_mask_len(mask);
     let n = net.node_count();
     if n == 0 {
         return Vec::new();
@@ -115,9 +192,7 @@ pub fn identify_with_mask(net: &Network, mask: &[bool], config: &KeyNodeConfig) 
 
     let cb = net.betweenness(mask);
     let max_cb = cb.iter().cloned().fold(0.0f64, f64::max);
-    let mut ranked: Vec<usize> = (0..n)
-        .filter(|&i| mask.get(i).copied().unwrap_or(false))
-        .collect();
+    let mut ranked: Vec<usize> = (0..n).filter(|&i| mask[i]).collect();
     ranked.sort_by(|&a, &b| {
         cb[b]
             .partial_cmp(&cb[a])
@@ -131,6 +206,7 @@ pub fn identify_with_mask(net: &Network, mask: &[bool], config: &KeyNodeConfig) 
         .map(NodeId)
         .collect();
 
+    let stranded = stranded_counts(net, mask);
     let mut out = Vec::new();
     for i in 0..n {
         let id = NodeId(i);
@@ -144,12 +220,11 @@ pub fn identify_with_mask(net: &Network, mask: &[bool], config: &KeyNodeConfig) 
             (true, false) => KeyReason::CutVertex,
             _ => KeyReason::TrafficHub,
         };
-        let stranded = stranded_if_dead(net, mask, id) as f64;
         let cb_norm = if max_cb > 0.0 { cb[i] / max_cb } else { 0.0 };
         out.push(KeyNode {
             id,
             reason,
-            weight: 1.0 + stranded + cb_norm,
+            weight: 1.0 + stranded[i] as f64 + cb_norm,
         });
     }
     out.sort_by(|a, b| {
@@ -165,8 +240,8 @@ pub fn identify_with_mask(net: &Network, mask: &[bool], config: &KeyNodeConfig) 
 /// [`KeyNodeConfig::max_exact_nodes`]: one routing-tree build ranks alive
 /// nodes by relayed inbound traffic — the quantity betweenness is a proxy
 /// for in a sink-rooted WRSN — and the top `hub_fraction` become hubs with
-/// `weight = 1 + rx / max_rx`. Cut vertices and stranded counts are skipped
-/// (each would cost further full graph traversals per candidate).
+/// `weight = 1 + rx / max_rx`. Cut vertices and stranded counts are skipped:
+/// the approximation ranks by relayed traffic alone.
 fn identify_approx(net: &Network, mask: &[bool], config: &KeyNodeConfig) -> Vec<KeyNode> {
     let n = net.node_count();
     let tree = RoutingTree::shortest_path(net, mask);
@@ -377,6 +452,31 @@ mod tests {
         let best = keys[0];
         let stranded = stranded_if_dead(&net, &mask, best.id);
         assert!(stranded >= 12, "stranded = {stranded}");
+    }
+
+    #[test]
+    fn stranded_counts_on_a_path() {
+        // 0 - 1 - 2 - 3 - 4, 10 m apart; the sink at node 0 reaches 0 and 1.
+        let nodes = (0..5)
+            .map(|i| SensorNode::new(Point::new(10.0 * i as f64, 0.0)))
+            .collect();
+        let net = Network::build(nodes, Point::ORIGIN, 12.0);
+        let mut mask = net.alive_mask();
+        assert_eq!(stranded_counts(&net, &mask), vec![0, 3, 2, 1, 0]);
+        mask[1] = false;
+        assert_eq!(stranded_counts(&net, &mask), vec![0, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "alive mask has 3 entries but the network has 28 nodes")]
+    fn stranded_counts_rejects_a_short_mask() {
+        stranded_counts(&corridor_net(), &[true; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "alive mask has 27 entries but the network has 28 nodes")]
+    fn identify_rejects_a_short_mask() {
+        identify_with_mask(&corridor_net(), &[true; 27], &KeyNodeConfig::default());
     }
 
     #[test]

@@ -32,6 +32,12 @@ echo "== release golden digest (checkpoint store bytes)"
 # encoding on the checkpoint path must keep the v1 file byte-identical.
 cargo test --release --test golden_checkpoint -q
 
+echo "== release key-node census proptest (vs. reference Brandes)"
+# The exact census against independent references in a release build:
+# Brandes betweenness bit for bit, every stranded count against the
+# one-node reference, and the whole census in ids, reasons and weight bits.
+cargo test --release -p wrsn-net --test keynode_census -q
+
 echo "== scale-smoke: 10k nodes, thread counts 1 and 8, identical traces"
 # Threading is a pure execution strategy: 10k nodes is above the 8192-node
 # gates of both the threaded graph build and the threaded power recompute,
