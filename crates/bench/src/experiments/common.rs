@@ -8,15 +8,11 @@ use wrsn::core::attack::{evaluate_attack, AttackOutcome, CsaAttackPolicy};
 use wrsn::core::tide::{TideConfig, TideInstance, TimeWindow, Victim};
 use wrsn::net::{NodeId, Point};
 use wrsn::scenario::Scenario;
-use wrsn::sim::obs::{NullRecorder, Recorder};
+use wrsn::sim::obs::Recorder;
 use wrsn::sim::{SimReport, World};
 
-/// Runs a full adaptive CSA campaign on `scenario`'s world.
-pub fn run_csa(scenario: &Scenario) -> (World, CsaAttackPolicy, SimReport, AttackOutcome) {
-    run_csa_with(scenario, &mut NullRecorder)
-}
-
-/// Like [`run_csa`], with the campaign observed through `rec`.
+/// Runs a full adaptive CSA campaign on `scenario`'s world, observed through
+/// `rec`.
 pub fn run_csa_with(
     scenario: &Scenario,
     rec: &mut dyn Recorder,

@@ -4,7 +4,7 @@
 use wrsn::scenario::Scenario;
 use wrsn::sim::obs::{NullRecorder, Recorder};
 
-use crate::experiments::common::{run_csa, run_csa_with};
+use crate::experiments::common::run_csa_with;
 use crate::stats::mean_std;
 use crate::table::{f, pm, Table};
 
@@ -56,20 +56,4 @@ pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
         ]);
     }
     vec![table]
-}
-
-/// Mean covered-census ratio per size (for the headline assertion).
-pub fn covered_ratios() -> Vec<(usize, f64)> {
-    SIZES
-        .iter()
-        .map(|&n| {
-            let mut covered = Vec::new();
-            for seed in 0..SEEDS {
-                let scenario = Scenario::paper_scale(n, seed);
-                let (_, _, _, outcome) = run_csa(&scenario);
-                covered.push(outcome.covered_exhausted_ratio);
-            }
-            (n, mean_std(&covered).0)
-        })
-        .collect()
 }

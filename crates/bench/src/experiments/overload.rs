@@ -109,7 +109,7 @@ fn drive(scheduler: &Scheduler, total: usize) -> Drive {
         let stream = k % STREAM_EVERY == 0;
         let (tx, rx) = mpsc::channel();
         let digest = payload.digest();
-        scheduler.submit(format!("burst-{k}"), payload, None, stream, tx);
+        scheduler.submit(format!("burst-{k}"), payload, None, stream, None, tx);
         pending.push(Pending {
             k,
             digest,
@@ -164,6 +164,7 @@ fn drive(scheduler: &Scheduler, total: usize) -> Drive {
                     payload(req.k),
                     None,
                     false,
+                    None,
                     tx,
                 );
                 req.rx = rx;

@@ -30,8 +30,9 @@
 //! semantically identical requests share.
 
 use serde::{Serialize as _, Value};
+use wrsn::core::attack::{evaluate_attack, CsaAttackPolicy};
 use wrsn::scenario::{Deployment, Scenario};
-use wrsn::sim::obs::{TraceRecord, SCHEMA_VERSION};
+use wrsn::sim::obs::{self, NullRecorder, TraceRecord, SCHEMA_VERSION};
 use wrsn::sim::store;
 use wrsn::sim::trace::Trace;
 use wrsn::sim::{AuditConfig, SimError, World};
@@ -160,8 +161,8 @@ pub enum TestOp {
     Panic,
     /// Spins on the thread's cancellation token, like a hung engine segment.
     Hang,
-    /// Under [`execute_streamed`], emits `frames` one-record progress batches
-    /// with `sleep_ms` between them; under [`execute`], returns the same
+    /// Given a sink, [`execute_with`] emits `frames` one-record progress
+    /// batches with `sleep_ms` between them; without one it returns the same
     /// final result with no frames (the streamed/plain-digest-equality pair).
     Stream {
         /// Progress batches to emit.
@@ -507,35 +508,57 @@ pub enum ExecError {
 }
 
 /// Executes a payload on the calling thread and returns the canonical
-/// `result` JSON. Deadline enforcement is cooperative: the simulation engine
-/// polls the thread's current [`wrsn::sim::cancel`] token between
-/// integration segments, so install one before calling.
+/// `result` JSON: [`execute_with`] with no detector and no sink.
 ///
 /// # Errors
 ///
-/// [`ExecError::Cancelled`] when the token fired mid-run,
-/// [`ExecError::Failed`] on an engine or serialization error. Panics inside
-/// experiment code propagate (the scheduler catches them per-request).
+/// As [`execute_with`].
 pub fn execute(payload: &Payload) -> Result<String, ExecError> {
-    execute_audited(payload, None).map(|(result, _)| result)
+    execute_with(payload, None, None).map(|(result, _)| result)
 }
 
-/// [`execute`] with an optional online detector attached to scenario
-/// campaigns (`detector` is a validated [`AuditConfig`] preset name). The
-/// returned result bytes are identical to [`execute`]'s — the audit never
-/// perturbs the trajectory — plus the twin's [`AuditSummary`] for the
-/// response envelope. Non-scenario payloads ignore `detector` and return no
-/// summary (`parse_line` rejects the combination upstream).
+/// Executes a payload on the calling thread and returns the canonical
+/// `result` JSON, plus the twin's [`AuditSummary`] when `detector` names an
+/// [`AuditConfig`] preset to attach to a scenario campaign. Deadline
+/// enforcement is cooperative: the simulation engine polls the thread's
+/// current [`wrsn::sim::cancel`] token between integration segments, so
+/// install one before calling.
+///
+/// With a `sink`, a scenario campaign additionally delivers incremental
+/// trace-record batches to it on a simulated-time cadence
+/// (`horizon_s / STREAM_DIVISIONS`, floored at 1 s). The final batch (sent
+/// after the run completes, before this function returns) carries the
+/// remaining records plus a closing [`TraceRecord::Snapshot`]. Conviction
+/// events surface in those batches (as [`wrsn::sim::SimEvent`] records) the
+/// moment the twin fires. `sink(sim_t_s, records)` returning `false` cancels
+/// the run cooperatively — the disconnect path: the server-side sink returns
+/// `false` once the client's reply channel is gone.
+///
+/// Neither option touches the result bytes: the audit and the sink only
+/// observe the trajectory, so every combination returns [`execute`]'s bytes.
+/// Non-scenario payloads return no summary (`parse_line` rejects a detector
+/// for them upstream).
 ///
 /// # Errors
 ///
-/// As [`execute`].
-pub fn execute_audited(
+/// [`ExecError::Cancelled`] when the token fired mid-run or the sink declined
+/// a batch, [`ExecError::Failed`] on an engine or serialization error, or
+/// when a non-scenario payload (which has no incremental trace) is given a
+/// sink — `parse_line` rejects `stream:true` for them upstream. Panics inside
+/// experiment code propagate (the scheduler catches them per-request).
+pub fn execute_with(
     payload: &Payload,
     detector: Option<&str>,
+    mut sink: Option<&mut dyn FnMut(f64, Vec<TraceRecord>) -> bool>,
 ) -> Result<(String, Option<AuditSummary>), ExecError> {
+    let not_streamable = || {
+        ExecError::Failed(format!(
+            "streaming is only supported for scenario requests, not {payload:?}"
+        ))
+    };
     let mut audit = None;
     let value = match payload {
+        Payload::Exp(_) if sink.is_some() => return Err(not_streamable()),
         Payload::Exp(id) => {
             let tables = crate::run(id).map_err(|e| match e {
                 crate::BenchError::Sim {
@@ -569,20 +592,58 @@ pub fn execute_audited(
                 return Err(ExecError::Cancelled);
             }
             let (scenario, mut world) = scenario_world(spec, detector);
-            let (report, outcome) =
-                wrsn::core::attack::run_attack(&mut world, scenario.tide_config()).map_err(
-                    |e| match e {
-                        SimError::Cancelled => ExecError::Cancelled,
-                        other => ExecError::Failed(other.to_string()),
+            let mut policy = CsaAttackPolicy::new(scenario.tide_config());
+            let cadence_s = (spec.horizon_s / STREAM_DIVISIONS).max(1.0);
+            let mut cursor = StreamCursor::default();
+            let report = world
+                .run_with_progress(
+                    &mut policy,
+                    &mut NullRecorder,
+                    cadence_s,
+                    &mut |t_s, trace| match sink.as_mut() {
+                        Some(sink) => sink(t_s, cursor.drain(trace, false)),
+                        None => true,
                     },
-                )?;
-            if let Some(preset) = detector {
-                audit = AuditSummary::from_world(&world, preset);
+                )
+                .map_err(|e| match e {
+                    SimError::Cancelled => ExecError::Cancelled,
+                    other => ExecError::Failed(other.to_string()),
+                })?;
+            if let Some(sink) = sink {
+                let mut tail = cursor.drain(world.trace(), true);
+                tail.push(TraceRecord::Snapshot {
+                    t_s: report.final_time_s,
+                    health: report.final_health,
+                });
+                if !sink(report.final_time_s, tail) {
+                    return Err(ExecError::Cancelled);
+                }
             }
+            let outcome = evaluate_attack(&world, &policy);
+            audit = detector.and_then(|preset| AuditSummary::from_world(&world, preset));
             scenario_result_value(spec, &report, &outcome)
         }
         #[cfg(test)]
         Payload::Test(op) => match op {
+            TestOp::Stream { frames, sleep_ms } => {
+                if let Some(sink) = sink {
+                    for k in 0..*frames {
+                        std::thread::sleep(std::time::Duration::from_millis(*sleep_ms));
+                        if wrsn::sim::cancel::cancelled() {
+                            return Err(ExecError::Cancelled);
+                        }
+                        let batch = vec![TraceRecord::Event {
+                            t_s: k as f64,
+                            event: wrsn::sim::SimEvent::HorizonReached,
+                        }];
+                        if !sink(k as f64, batch) {
+                            return Err(ExecError::Cancelled);
+                        }
+                    }
+                }
+                Value::Map(vec![("stream".to_string(), Value::U64(*frames))])
+            }
+            _ if sink.is_some() => return Err(not_streamable()),
             TestOp::Echo { tag, sleep_ms } => {
                 std::thread::sleep(std::time::Duration::from_millis(*sleep_ms));
                 Value::Map(vec![("echo".to_string(), Value::U64(*tag))])
@@ -594,9 +655,6 @@ pub fn execute_audited(
                 }
                 std::thread::sleep(std::time::Duration::from_millis(2));
             },
-            TestOp::Stream { frames, .. } => {
-                Value::Map(vec![("stream".to_string(), Value::U64(*frames))])
-            }
         },
     };
     let result = serde_json::to_string(&value)
@@ -604,9 +662,8 @@ pub fn execute_audited(
     Ok((result, audit))
 }
 
-/// The canonical scenario `result` value shared by the plain and streamed
-/// execution paths — what makes a streamed final frame byte-identical to the
-/// non-streamed cached result.
+/// The canonical scenario `result` value — what makes a streamed final
+/// frame byte-identical to the non-streamed cached result.
 fn scenario_result_value(
     spec: &ScenarioSpec,
     report: &wrsn::sim::SimReport,
@@ -666,8 +723,8 @@ fn scenario_result_value(
 
 /// A cursor over a live [`Trace`]: each [`StreamCursor::drain`] call converts
 /// only the events and sessions recorded since the last call into
-/// [`TraceRecord`]s (PR 2 JSONL schema, same event→record mapping as
-/// [`wrsn::sim::obs::export_trace`]).
+/// [`TraceRecord`]s (PR 2 JSONL schema, through the same
+/// [`obs::event_records`] mapping as [`obs::export_trace`]).
 ///
 /// Sessions need one subtlety: the trace *merges* contiguous charge chunks
 /// into its last session, so the most recent session is only final once a
@@ -684,18 +741,7 @@ impl StreamCursor {
         let mut batch = Vec::new();
         let events = trace.events();
         for (t_s, event) in &events[self.events.min(events.len())..] {
-            if let wrsn::sim::SimEvent::Fault { fault } = event {
-                // Mirror `export_trace`: faults get a dedicated record kind
-                // ahead of the generic event.
-                batch.push(TraceRecord::Fault {
-                    t_s: *t_s,
-                    fault: *fault,
-                });
-            }
-            batch.push(TraceRecord::Event {
-                t_s: *t_s,
-                event: event.clone(),
-            });
+            obs::event_records(*t_s, event, |record| batch.push(record));
         }
         self.events = events.len();
         let sessions = trace.sessions();
@@ -710,104 +756,6 @@ impl StreamCursor {
         self.sessions = self.sessions.max(upto);
         batch
     }
-}
-
-/// Executes a payload like [`execute`], additionally delivering incremental
-/// trace-record batches to `sink` on a simulated-time cadence
-/// (`horizon_s / STREAM_DIVISIONS`, floored at 1 s). The final batch (sent
-/// after the run completes, before this function returns) carries the
-/// remaining records plus a closing [`TraceRecord::Snapshot`]. The returned
-/// result bytes are identical to [`execute`]'s for the same payload.
-///
-/// `sink(sim_t_s, records)` returning `false` cancels the run cooperatively —
-/// the disconnect path: the server-side sink returns `false` once the
-/// client's reply channel is gone.
-///
-/// # Errors
-///
-/// As [`execute`]; a sink-declined run surfaces as [`ExecError::Cancelled`].
-/// Non-scenario payloads (which have no incremental trace) fail with
-/// [`ExecError::Failed`] — `parse_line` rejects `stream:true` for them
-/// upstream.
-pub fn execute_streamed(
-    payload: &Payload,
-    sink: &mut dyn FnMut(f64, Vec<TraceRecord>) -> bool,
-) -> Result<String, ExecError> {
-    execute_streamed_audited(payload, None, sink).map(|(result, _)| result)
-}
-
-/// [`execute_streamed`] with an optional online detector, exactly as
-/// [`execute_audited`] extends [`execute`]. Conviction events additionally
-/// surface in the streamed trace frames (as [`wrsn::sim::SimEvent`] records)
-/// the moment the twin fires, ahead of the final summary.
-///
-/// # Errors
-///
-/// As [`execute_streamed`].
-pub fn execute_streamed_audited(
-    payload: &Payload,
-    detector: Option<&str>,
-    sink: &mut dyn FnMut(f64, Vec<TraceRecord>) -> bool,
-) -> Result<(String, Option<AuditSummary>), ExecError> {
-    let mut audit = None;
-    let value = match payload {
-        Payload::Scenario(spec) => {
-            if wrsn::sim::cancel::cancelled() {
-                return Err(ExecError::Cancelled);
-            }
-            let (scenario, mut world) = scenario_world(spec, detector);
-            let cadence_s = (spec.horizon_s / STREAM_DIVISIONS).max(1.0);
-            let mut cursor = StreamCursor::default();
-            let (report, outcome) = wrsn::core::attack::run_attack_streamed(
-                &mut world,
-                scenario.tide_config(),
-                cadence_s,
-                &mut |t_s, trace| sink(t_s, cursor.drain(trace, false)),
-            )
-            .map_err(|e| match e {
-                SimError::Cancelled => ExecError::Cancelled,
-                other => ExecError::Failed(other.to_string()),
-            })?;
-            let mut tail = cursor.drain(world.trace(), true);
-            tail.push(TraceRecord::Snapshot {
-                t_s: report.final_time_s,
-                health: report.final_health,
-            });
-            if !sink(report.final_time_s, tail) {
-                return Err(ExecError::Cancelled);
-            }
-            if let Some(preset) = detector {
-                audit = AuditSummary::from_world(&world, preset);
-            }
-            scenario_result_value(spec, &report, &outcome)
-        }
-        #[cfg(test)]
-        Payload::Test(TestOp::Stream { frames, sleep_ms }) => {
-            for k in 0..*frames {
-                std::thread::sleep(std::time::Duration::from_millis(*sleep_ms));
-                if wrsn::sim::cancel::cancelled() {
-                    return Err(ExecError::Cancelled);
-                }
-                let batch = vec![TraceRecord::Event {
-                    t_s: k as f64,
-                    event: wrsn::sim::SimEvent::HorizonReached,
-                }];
-                if !sink(k as f64, batch) {
-                    return Err(ExecError::Cancelled);
-                }
-            }
-            Value::Map(vec![("stream".to_string(), Value::U64(*frames))])
-        }
-        other => {
-            return Err(ExecError::Failed(format!(
-                "streaming is only supported for scenario requests, not {:?}",
-                other
-            )))
-        }
-    };
-    let result = serde_json::to_string(&value)
-        .map_err(|e| ExecError::Failed(format!("serialize result: {e}")))?;
-    Ok((result, audit))
 }
 
 fn quote(s: &str) -> String {
@@ -1212,7 +1160,7 @@ mod tests {
         });
         let plain = execute(&payload).expect("runs");
         let (audited, summary) =
-            execute_audited(&payload, Some("aggressive")).expect("runs with audit");
+            execute_with(&payload, Some("aggressive"), None).expect("runs with audit");
         assert_eq!(plain, audited, "the audit is purely observational");
         let summary = summary.expect("scenario with detector yields a summary");
         assert_eq!(summary.preset, "aggressive");
@@ -1246,7 +1194,7 @@ mod tests {
             "detector and plain responses share one result"
         );
         // Without a detector there is no summary.
-        let (_, none) = execute_audited(&payload, None).expect("runs");
+        let (_, none) = execute_with(&payload, None, None).expect("runs");
         assert!(none.is_none());
     }
 
@@ -1260,10 +1208,14 @@ mod tests {
         });
         let plain = execute(&payload).expect("plain run");
         let mut frames: Vec<(f64, Vec<TraceRecord>)> = Vec::new();
-        let streamed = execute_streamed(&payload, &mut |t_s, records| {
-            frames.push((t_s, records));
-            true
-        })
+        let (streamed, _) = execute_with(
+            &payload,
+            None,
+            Some(&mut |t_s, records| {
+                frames.push((t_s, records));
+                true
+            }),
+        )
         .expect("streamed run");
         assert_eq!(plain, streamed, "streamed result is byte-identical");
         assert!(frames.len() > 1, "a 20ks horizon flushes multiple times");
@@ -1300,12 +1252,111 @@ mod tests {
             deployment: DeploymentKind::Uniform,
         });
         let mut calls = 0usize;
-        let result = execute_streamed(&payload, &mut |_, _| {
-            calls += 1;
-            false
-        });
+        let result = execute_with(
+            &payload,
+            None,
+            Some(&mut |_, _| {
+                calls += 1;
+                false
+            }),
+        );
         assert_eq!(result, Err(ExecError::Cancelled));
         assert_eq!(calls, 1, "the run stops at the first declined flush");
+    }
+
+    /// A scenario long enough for the CSA campaign to charge, and for the
+    /// aggressive twin to convict, so every stream carries sessions and the
+    /// audited one carries convictions.
+    fn charging_spec() -> ScenarioSpec {
+        ScenarioSpec {
+            nodes: 24,
+            seed: 7,
+            horizon_s: 1_000_000.0,
+            deployment: DeploymentKind::Uniform,
+        }
+    }
+
+    /// Splits trace records into the event stream (`Event` and `Fault`
+    /// records, in order) and the session stream (in order).
+    fn split_records(records: &[TraceRecord]) -> (Vec<TraceRecord>, Vec<TraceRecord>) {
+        let pick = |keep: fn(&TraceRecord) -> bool| {
+            records
+                .iter()
+                .filter(|r| keep(r))
+                .cloned()
+                .collect::<Vec<_>>()
+        };
+        (
+            pick(|r| matches!(r, TraceRecord::Event { .. } | TraceRecord::Fault { .. })),
+            pick(|r| matches!(r, TraceRecord::Session { .. })),
+        )
+    }
+
+    #[test]
+    fn streamed_frames_carry_exactly_the_records_a_recorder_exports() {
+        let spec = charging_spec();
+        let mut streamed = Vec::new();
+        execute_with(
+            &Payload::Scenario(spec.clone()),
+            None,
+            Some(&mut |_, records| {
+                streamed.extend(records);
+                true
+            }),
+        )
+        .expect("streamed run");
+        let (scenario, mut world) = scenario_world(&spec, None);
+        let mut rec = wrsn::sim::StatsRecorder::new();
+        world
+            .run_with(&mut CsaAttackPolicy::new(scenario.tide_config()), &mut rec)
+            .expect("recorded run");
+        let (streamed_events, streamed_sessions) = split_records(&streamed);
+        let (exported_events, exported_sessions) = split_records(rec.records());
+        assert!(!exported_sessions.is_empty(), "the campaign charges");
+        assert_eq!(streamed_events, exported_events);
+        assert_eq!(streamed_sessions, exported_sessions);
+    }
+
+    #[test]
+    fn streamed_detector_run_matches_the_plain_and_audited_runs() {
+        let payload = Payload::Scenario(charging_spec());
+        let plain = execute(&payload).expect("plain run");
+        let (_, audited) = execute_with(&payload, Some("aggressive"), None).expect("audited run");
+        let mut records = Vec::new();
+        let (streamed, summary) = execute_with(
+            &payload,
+            Some("aggressive"),
+            Some(&mut |_, batch| {
+                records.extend(batch);
+                true
+            }),
+        )
+        .expect("streamed audited run");
+        assert_eq!(
+            streamed, plain,
+            "neither the audit nor the sink moves a byte"
+        );
+        assert_eq!(summary, audited, "streaming leaves the audit unchanged");
+        let summary = summary.expect("scenario with detector yields a summary");
+        let conviction_events = records
+            .iter()
+            .filter(|r| {
+                matches!(
+                    r,
+                    TraceRecord::Event {
+                        event: wrsn::sim::SimEvent::AuditConviction { .. },
+                        ..
+                    }
+                )
+            })
+            .count() as u64;
+        if summary.convictions > 0 {
+            assert!(conviction_events > 0, "convictions surface in the frames");
+        }
+        eprintln!(
+            "convictions {} events {}",
+            summary.convictions, conviction_events
+        );
     }
 
     #[test]

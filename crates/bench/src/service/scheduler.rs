@@ -352,23 +352,12 @@ impl Scheduler {
     /// on `reply` when the request resolves — preceded by `progress` frames
     /// when `stream` is set. A full queue sheds the request immediately with
     /// a typed `overloaded` line instead of admitting it.
+    ///
+    /// `detector` optionally names an online detector preset for scenario
+    /// payloads. It never enters the digest: a fresh (leading) run attaches
+    /// the audit and its summary rides in the `ok` envelope, while cache hits
+    /// and followers are answered from the shared result bytes alone.
     pub fn submit(
-        &self,
-        id: String,
-        payload: Payload,
-        deadline: Option<Duration>,
-        stream: bool,
-        reply: Sender<Reply>,
-    ) {
-        self.submit_audited(id, payload, deadline, stream, None, reply);
-    }
-
-    /// [`Scheduler::submit`] with an optional online detector preset for
-    /// scenario payloads. The detector never enters the digest; a fresh
-    /// (leading) run attaches the audit and its summary rides in the `ok`
-    /// envelope, while cache hits and followers are answered from the shared
-    /// result bytes alone.
-    pub fn submit_audited(
         &self,
         id: String,
         payload: Payload,
@@ -561,47 +550,32 @@ fn worker_loop(inner: &Inner, slot: usize) {
         });
         let disconnected = std::cell::Cell::new(false);
         let run = {
-            let guard = ScopedCancel::install(token.clone());
-            let run = if job.stream {
-                // Streaming leader: forward each drained record batch as a
-                // `progress` frame. A failed send means the connection writer
-                // (and with it the client) is gone — cancel our own token so
-                // the engine unwinds at its next segment poll instead of
-                // computing for nobody.
-                let mut seq: u64 = 0;
-                let reply = &job.reply;
-                let id = job.id.as_str();
-                let sink_token = &token;
-                let sink_disconnected = &disconnected;
-                let counters = &inner.counters;
-                let mut sink = |t_s: f64, records: Vec<TraceRecord>| -> bool {
-                    if records.is_empty() {
-                        return !sink_token.is_cancelled();
-                    }
-                    let line = request::progress_line(id, seq, t_s, &records);
-                    seq += 1;
-                    if reply.send(Reply::frame(line)).is_err() {
-                        sink_disconnected.set(true);
-                        sink_token.cancel();
-                        return false;
-                    }
-                    ServiceCounters::inc(&counters.stream_frames);
-                    true
-                };
-                catch_unwind(AssertUnwindSafe(|| {
-                    request::execute_streamed_audited(
-                        &job.payload,
-                        job.detector.as_deref(),
-                        &mut sink,
-                    )
-                }))
-            } else {
-                catch_unwind(AssertUnwindSafe(|| {
-                    request::execute_audited(&job.payload, job.detector.as_deref())
-                }))
+            let _guard = ScopedCancel::install(token.clone());
+            // A streaming leader forwards each drained record batch as a
+            // `progress` frame. A failed send means the connection writer
+            // (and with it the client) is gone — cancel our own token so the
+            // engine unwinds at its next segment poll instead of computing
+            // for nobody.
+            let mut seq: u64 = 0;
+            let mut frames = |t_s: f64, records: Vec<TraceRecord>| -> bool {
+                if records.is_empty() {
+                    return !token.is_cancelled();
+                }
+                let line = request::progress_line(&job.id, seq, t_s, &records);
+                seq += 1;
+                if job.reply.send(Reply::frame(line)).is_err() {
+                    disconnected.set(true);
+                    token.cancel();
+                    return false;
+                }
+                ServiceCounters::inc(&inner.counters.stream_frames);
+                true
             };
-            drop(guard);
-            run
+            let sink: Option<&mut dyn FnMut(f64, Vec<TraceRecord>) -> bool> =
+                if job.stream { Some(&mut frames) } else { None };
+            catch_unwind(AssertUnwindSafe(|| {
+                request::execute_with(&job.payload, job.detector.as_deref(), sink)
+            }))
         };
         *inner.slots[slot].lock().expect("slot lock") = None;
         let outcome = match run {
@@ -753,11 +727,11 @@ mod tests {
         let (cache, dir) = temp_cache("roundtrip");
         let scheduler = Scheduler::new(cache, 2, Duration::from_secs(10), 64);
         let (tx, rx) = mpsc::channel();
-        scheduler.submit("a".to_string(), echo(1, 0), None, false, tx.clone());
+        scheduler.submit("a".to_string(), echo(1, 0), None, false, None, tx.clone());
         let first = parse_response(&rx.recv().unwrap().line).unwrap();
         assert_eq!(first.status, "ok");
         assert_eq!(first.cache.as_deref(), Some("miss"));
-        scheduler.submit("b".to_string(), echo(1, 0), None, false, tx);
+        scheduler.submit("b".to_string(), echo(1, 0), None, false, None, tx);
         let second = parse_response(&rx.recv().unwrap().line).unwrap();
         assert_eq!(second.cache.as_deref(), Some("hit"));
         assert_eq!(
@@ -776,7 +750,7 @@ mod tests {
         let scheduler = Scheduler::new(cache, 4, Duration::from_secs(10), 64);
         let (tx, rx) = mpsc::channel();
         for k in 0..6 {
-            scheduler.submit(format!("q{k}"), echo(7, 150), None, false, tx.clone());
+            scheduler.submit(format!("q{k}"), echo(7, 150), None, false, None, tx.clone());
         }
         drop(tx);
         let mut results = Vec::new();
@@ -812,6 +786,7 @@ mod tests {
             Payload::Test(TestOp::Hang),
             Some(Duration::from_millis(80)),
             false,
+            None,
             tx,
         );
         let response = parse_response(&rx.recv().unwrap().line).unwrap();
@@ -831,13 +806,21 @@ mod tests {
         let scheduler = Scheduler::new(cache, 1, Duration::from_secs(10), 64);
         let (tx, rx) = mpsc::channel();
         // Occupy the only worker…
-        scheduler.submit("slow".to_string(), echo(9, 250), None, false, tx.clone());
+        scheduler.submit(
+            "slow".to_string(),
+            echo(9, 250),
+            None,
+            false,
+            None,
+            tx.clone(),
+        );
         // …so this 1 ms deadline is long gone by the time it is popped.
         scheduler.submit(
             "late".to_string(),
             echo(10, 0),
             Some(Duration::from_millis(1)),
             false,
+            None,
             tx,
         );
         let mut by_id = HashMap::new();
@@ -863,6 +846,7 @@ mod tests {
             Payload::Test(TestOp::Panic),
             None,
             false,
+            None,
             tx.clone(),
         );
         let boom = parse_response(&rx.recv().unwrap().line).unwrap();
@@ -870,7 +854,7 @@ mod tests {
         assert!(boom.error.unwrap().contains("panicked"));
         // The reused thread must carry no stale cancel token: a fresh
         // request completes normally instead of being instantly "cancelled".
-        scheduler.submit("after".to_string(), echo(11, 0), None, false, tx);
+        scheduler.submit("after".to_string(), echo(11, 0), None, false, None, tx);
         let after = parse_response(&rx.recv().unwrap().line).unwrap();
         assert_eq!(after.status, "ok", "reused worker thread is clean");
         scheduler.shutdown();
@@ -891,6 +875,7 @@ mod tests {
             Payload::Test(TestOp::Hang),
             Some(Duration::from_millis(60)),
             false,
+            None,
             tx.clone(),
         );
         thread::sleep(Duration::from_millis(10));
@@ -899,6 +884,7 @@ mod tests {
             Payload::Test(TestOp::Hang),
             Some(Duration::from_millis(300)),
             false,
+            None,
             tx,
         );
         let mut statuses = HashMap::new();
@@ -920,11 +906,32 @@ mod tests {
         // the third submission must be shed at the door.
         let scheduler = Scheduler::new(cache, 1, Duration::from_secs(10), 1);
         let (tx, rx) = mpsc::channel();
-        scheduler.submit("busy".to_string(), echo(20, 250), None, false, tx.clone());
+        scheduler.submit(
+            "busy".to_string(),
+            echo(20, 250),
+            None,
+            false,
+            None,
+            tx.clone(),
+        );
         // Give the worker time to pop "busy" off the queue.
         thread::sleep(Duration::from_millis(50));
-        scheduler.submit("queued".to_string(), echo(21, 0), None, false, tx.clone());
-        scheduler.submit("shed".to_string(), echo(22, 0), None, false, tx.clone());
+        scheduler.submit(
+            "queued".to_string(),
+            echo(21, 0),
+            None,
+            false,
+            None,
+            tx.clone(),
+        );
+        scheduler.submit(
+            "shed".to_string(),
+            echo(22, 0),
+            None,
+            false,
+            None,
+            tx.clone(),
+        );
         drop(tx);
         let mut by_id = HashMap::new();
         while let Ok(reply) = rx.recv() {
@@ -954,7 +961,7 @@ mod tests {
             })
         };
         let (tx, rx) = mpsc::channel();
-        scheduler.submit("s".to_string(), stream_op(), None, true, tx);
+        scheduler.submit("s".to_string(), stream_op(), None, true, None, tx);
         let mut frames = Vec::new();
         let fin = loop {
             let reply = rx.recv().unwrap();
@@ -975,11 +982,46 @@ mod tests {
         // The stream flag is envelope-only: the same payload submitted plain
         // hits the cache entry the streamed run saved, byte-identically.
         let (tx2, rx2) = mpsc::channel();
-        scheduler.submit("p".to_string(), stream_op(), None, false, tx2);
+        scheduler.submit("p".to_string(), stream_op(), None, false, None, tx2);
         let plain = parse_response(&rx2.recv().unwrap().line).unwrap();
         assert_eq!(plain.status, "ok");
         assert_eq!(plain.cache.as_deref(), Some("hit"));
         assert_eq!(plain.result_canonical, fin.result_canonical);
+        scheduler.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn only_a_fresh_detector_run_carries_the_audit_envelope() {
+        let (cache, dir) = temp_cache("audit");
+        let scheduler = Scheduler::new(cache, 1, Duration::from_secs(60), 8);
+        let scenario = || {
+            Payload::Scenario(request::ScenarioSpec {
+                nodes: 24,
+                seed: 7,
+                horizon_s: 20_000.0,
+                deployment: request::DeploymentKind::Uniform,
+            })
+        };
+        let detector = || Some("aggressive".to_string());
+        let (tx, rx) = mpsc::channel();
+        scheduler.submit("fresh".to_string(), scenario(), None, false, detector(), tx);
+        let fresh = parse_response(&rx.recv().unwrap().line).unwrap();
+        assert_eq!(fresh.status, "ok");
+        assert_eq!(fresh.cache.as_deref(), Some("miss"));
+        let envelope = fresh
+            .audit_canonical
+            .expect("a fresh run carries the audit");
+        assert!(envelope.contains("\"preset\":\"aggressive\""));
+        // The duplicate replays the cached bytes without re-running the
+        // campaign, so there is no audit to report.
+        let (tx2, rx2) = mpsc::channel();
+        scheduler.submit("dup".to_string(), scenario(), None, false, detector(), tx2);
+        let dup = parse_response(&rx2.recv().unwrap().line).unwrap();
+        assert_eq!(dup.status, "ok");
+        assert_eq!(dup.cache.as_deref(), Some("hit"));
+        assert_eq!(dup.audit_canonical, None);
+        assert_eq!(dup.result_canonical, fresh.result_canonical);
         scheduler.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -994,14 +1036,14 @@ mod tests {
         });
         let digest = gone_op.digest();
         let (tx, rx) = mpsc::channel();
-        scheduler.submit("gone".to_string(), gone_op, None, true, tx);
+        scheduler.submit("gone".to_string(), gone_op, None, true, None, tx);
         let first = rx.recv().unwrap();
         assert!(!first.fin, "first line is a progress frame");
         drop(rx); // the client vanishes mid-stream
                   // The worker notices on its next frame send, cancels its own run,
                   // and survives to serve a fresh request on the same thread.
         let (tx2, rx2) = mpsc::channel();
-        scheduler.submit("next".to_string(), echo(30, 0), None, false, tx2);
+        scheduler.submit("next".to_string(), echo(30, 0), None, false, None, tx2);
         let next = parse_response(&rx2.recv().unwrap().line).unwrap();
         assert_eq!(next.status, "ok");
         assert_eq!(scheduler.counters().stream_cancels(), 1);

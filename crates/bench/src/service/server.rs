@@ -434,7 +434,7 @@ fn read_loop<R: BufRead>(
             RequestKind::Work(payload) => {
                 let accepted = control.accepted.fetch_add(1, Ordering::Relaxed) + 1;
                 let deadline = request.deadline_s.map(Duration::from_secs_f64);
-                scheduler.submit_audited(
+                scheduler.submit(
                     request.id,
                     payload,
                     deadline,

@@ -33,20 +33,6 @@ impl Njnp {
         }
     }
 
-    /// Sets the preemption slice length, returning the policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slice_s` is not finite and positive.
-    pub fn with_slice(mut self, slice_s: f64) -> Self {
-        assert!(
-            slice_s.is_finite() && slice_s > 0.0,
-            "slice must be positive"
-        );
-        self.slice_s = slice_s;
-        self
-    }
-
     fn decide(&mut self, view: &WorldView<'_>, rec: &mut dyn Recorder) -> ChargerAction {
         if view.should_recharge(0.15) {
             return ChargerAction::Recharge;

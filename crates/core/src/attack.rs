@@ -686,33 +686,6 @@ pub fn run_attack(
     Ok((report, outcome))
 }
 
-/// Like [`run_attack`], but calls `progress` with the live trace every
-/// `cadence_s` of simulated time (see [`World::run_with_progress`]) — the
-/// engine hook behind the service's streaming scenario responses. The hook
-/// only reads; the campaign trajectory and outcome are bitwise identical to
-/// [`run_attack`].
-///
-/// # Errors
-///
-/// As [`run_attack`], plus [`wrsn_sim::SimError::Cancelled`] when the hook
-/// returns `false` (client gone mid-stream).
-pub fn run_attack_streamed(
-    world: &mut World,
-    config: TideConfig,
-    cadence_s: f64,
-    progress: &mut dyn FnMut(f64, &wrsn_sim::trace::Trace) -> bool,
-) -> Result<(SimReport, AttackOutcome), wrsn_sim::SimError> {
-    let mut policy = CsaAttackPolicy::new(config);
-    let report = world.run_with_progress(
-        &mut policy,
-        &mut wrsn_sim::obs::NullRecorder,
-        cadence_s,
-        progress,
-    )?;
-    let outcome = evaluate_attack(world, &policy);
-    Ok((report, outcome))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

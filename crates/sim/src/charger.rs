@@ -236,12 +236,6 @@ impl MobileCharger {
         self
     }
 
-    /// Sets the rig, returning the charger.
-    pub fn with_rig(mut self, rig: ChargerRig) -> Self {
-        self.rig = rig;
-        self
-    }
-
     /// Sets the parking distance from served nodes (m), returning the
     /// charger.
     ///

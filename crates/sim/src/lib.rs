@@ -3,8 +3,6 @@
 //! Glues the physics ([`wrsn_em`]) and the network substrate ([`wrsn_net`])
 //! into a runnable world:
 //!
-//! * [`engine`]: a generic discrete-event queue with deterministic FIFO
-//!   tie-breaking,
 //! * [`charger`]: the mobile charger — position, speed, energy budget, and the
 //!   two-antenna **rig** whose [`charger::ChargeMode`] selects honest charging
 //!   or phase-cancelled *spoofed* charging,
@@ -21,9 +19,8 @@
 //!   panicking,
 //! * [`parallel`]: order-preserving scoped-thread fan-out for independent
 //!   simulation trials (`WRSN_THREADS` controls the worker count), with a
-//!   panic-catching, retrying [`parallel::try_map_indexed`] variant and a
-//!   watchdog-supervised [`parallel::try_map_indexed_watched`] that cancels
-//!   hung items at a wall-clock deadline,
+//!   panic-catching, retrying [`parallel::try_map_indexed_watched`] variant
+//!   whose optional watchdog cancels hung items at a wall-clock deadline,
 //! * [`cancel`]: the cooperative cancellation protocol — a thread-local
 //!   [`cancel::CancelToken`] the run loop polls between integration
 //!   segments,
@@ -54,7 +51,6 @@
 pub mod audit;
 pub mod cancel;
 pub mod charger;
-pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod obs;

@@ -508,11 +508,6 @@ impl StatsRecorder {
         &self.records
     }
 
-    /// Consumes the recorder, returning the buffered trace records.
-    pub fn into_records(self) -> Vec<TraceRecord> {
-        self.records
-    }
-
     /// Appends a [`TraceRecord::Counters`] record with this recorder's
     /// current nonzero counters under `scope`. Called once per scope after
     /// its last event so the counters line closes the scope's stream.
@@ -611,10 +606,25 @@ impl Recorder for StatsRecorder {
     }
 }
 
-/// Emits a world trace into `rec` — one [`TraceRecord::Event`] per event and
+/// Hands `emit` the records one trace event exports as: its
+/// [`TraceRecord::Event`], preceded by a [`TraceRecord::Fault`] when the event
+/// is an injected fault. Faults get that dedicated record kind so consumers
+/// can filter injections without pattern-matching the whole event enum.
+/// [`export_trace`] and the service's streamed frames both map events here.
+pub fn event_records(t_s: f64, event: &SimEvent, mut emit: impl FnMut(TraceRecord)) {
+    if let SimEvent::Fault { fault } = event {
+        emit(TraceRecord::Fault { t_s, fault: *fault });
+    }
+    emit(TraceRecord::Event {
+        t_s,
+        event: event.clone(),
+    });
+}
+
+/// Emits a world trace into `rec` — the [`event_records`] of every event and
 /// one [`TraceRecord::Session`] per (merged) session — and bumps the
 /// trace-derived counters (deaths, requests, moves, session modes, swaps,
-/// exhaustions). No-op when the recorder is disabled.
+/// exhaustions, faults). No-op when the recorder is disabled.
 pub fn export_trace(rec: &mut dyn Recorder, trace: &Trace) {
     if !rec.enabled() {
         return;
@@ -637,20 +647,10 @@ pub fn export_trace(rec: &mut dyn Recorder, trace: &Trace) {
                     },
                     1,
                 );
-                // Faults get a dedicated record kind (in addition to the
-                // generic event below) so consumers can filter injections
-                // without pattern-matching the whole event enum.
-                rec.emit(&TraceRecord::Fault {
-                    t_s: *t_s,
-                    fault: *fault,
-                });
             }
             _ => {}
         }
-        rec.emit(&TraceRecord::Event {
-            t_s: *t_s,
-            event: event.clone(),
-        });
+        event_records(*t_s, event, |record| rec.emit(&record));
     }
     for session in trace.sessions() {
         match session.mode {

@@ -6,15 +6,16 @@
 //! returns results **in index order**, which keeps every downstream table
 //! byte-identical to a sequential run.
 //!
-//! [`try_map_indexed`] is the panic-safe variant the `exp` runner uses: a
-//! worker panic is caught ([`std::panic::catch_unwind`]), the failed index is
-//! retried with backoff, and a terminal failure comes back as a typed
-//! [`WorkerError`] in that index's slot instead of tearing down the whole
-//! campaign — every healthy index still returns its result.
+//! [`try_map_indexed_watched`] is the panic-safe variant the `exp` runner
+//! uses, and the one body [`map_indexed`] runs on: a worker panic is caught
+//! ([`std::panic::catch_unwind`]), the failed index is retried with backoff,
+//! and a terminal failure comes back as a typed [`WorkerError`] in that
+//! index's slot instead of tearing down the whole campaign — every healthy
+//! index still returns its result.
 //!
-//! [`try_map_indexed_watched`] adds a **watchdog**: each work item gets a
-//! fresh [`crate::cancel::CancelToken`] installed as its thread's current
-//! token, and a monitor thread cancels any item that outlives its wall-clock
+//! With a deadline it also runs a **watchdog**: each work item gets a fresh
+//! [`crate::cancel::CancelToken`] installed as its thread's current token,
+//! and a monitor thread cancels any item that outlives its wall-clock
 //! deadline. The simulation engine polls the token between integration
 //! segments ([`crate::SimError::Cancelled`]), so a hung experiment unwinds
 //! cooperatively and is reported as a typed [`FailureKind::Timeout`] — the
@@ -197,13 +198,14 @@ where
 /// Work is distributed dynamically (an atomic cursor), so uneven per-index
 /// cost does not idle workers. With one worker (or one item) this is a plain
 /// sequential loop. A panic in `f` is propagated to the caller; campaigns
-/// that must survive a poisoned work item use [`try_map_indexed`] instead.
+/// that must survive a poisoned work item use [`try_map_indexed_watched`]
+/// instead.
 pub fn map_indexed<T, F>(count: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    try_map_indexed(count, 0, f)
+    try_map_indexed_watched(count, 0, None, f)
         .into_iter()
         .map(|result| match result {
             Ok(value) => value,
@@ -219,17 +221,10 @@ where
 ///
 /// The harness itself stays deterministic: results (and errors) land in index
 /// order regardless of worker count or retry timing.
-pub fn try_map_indexed<T, F>(count: usize, retries: usize, f: F) -> Vec<Result<T, WorkerError>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    try_map_indexed_watched(count, retries, None, f)
-}
-
-/// [`try_map_indexed`] under watchdog supervision: with `deadline` set, any
-/// work item whose in-flight attempt outlives the deadline has its
-/// cancellation token fired by a monitor thread and comes back as a typed
+///
+/// With `deadline` set the run is under watchdog supervision: any work item
+/// whose in-flight attempt outlives the deadline has its cancellation token
+/// fired by a monitor thread and comes back as a typed
 /// [`FailureKind::Timeout`] failure — the remaining items run to completion.
 ///
 /// Cancellation is cooperative (see [`crate::cancel`]): the simulation engine
@@ -351,7 +346,7 @@ mod tests {
 
     #[test]
     fn try_map_survives_a_panicking_index() {
-        let out = try_map_indexed(8, 0, |i| {
+        let out = try_map_indexed_watched(8, 0, None, |i| {
             if i == 3 {
                 panic!("index three is poisoned");
             }
@@ -375,7 +370,7 @@ mod tests {
     fn try_map_retries_transient_panics() {
         use std::sync::atomic::AtomicUsize;
         let attempts = AtomicUsize::new(0);
-        let out = try_map_indexed(1, 2, |_| {
+        let out = try_map_indexed_watched(1, 2, None, |_| {
             // Fails twice, then succeeds: a transient fault survives retries.
             if attempts.fetch_add(1, Ordering::SeqCst) < 2 {
                 panic!("transient");
@@ -388,7 +383,7 @@ mod tests {
 
     #[test]
     fn try_map_reports_attempt_count_on_terminal_failure() {
-        let out = try_map_indexed(1, 2, |_| -> usize { panic!("always") });
+        let out = try_map_indexed_watched(1, 2, None, |_| -> usize { panic!("always") });
         let e = out[0].as_ref().unwrap_err();
         assert_eq!(e.attempts, 3);
         assert_eq!(e.kind, FailureKind::Panic);
@@ -446,7 +441,7 @@ mod tests {
         let _guard = ScopedCancel::install(token);
         // Every worker (including nested spawns) must observe the ancestor's
         // cancelled token.
-        let seen = try_map_indexed(4, 0, |_| cancel::cancelled());
+        let seen = try_map_indexed_watched(4, 0, None, |_| cancel::cancelled());
         assert!(seen.into_iter().all(|r| r.unwrap()));
     }
 
@@ -458,7 +453,7 @@ mod tests {
         // scope and panics; after the harness catches the unwind, this
         // thread's token state must be exactly what it was before.
         assert!(cancel::current().is_none());
-        let out = try_map_indexed(1, 0, |_| -> usize {
+        let out = try_map_indexed_watched(1, 0, None, |_| -> usize {
             let poisoned = CancelToken::new();
             poisoned.cancel();
             let _guard = ScopedCancel::install(poisoned);
@@ -471,7 +466,7 @@ mod tests {
         );
         // The "reused thread" then serves an unrelated item: it must not see
         // a stale cancellation.
-        let seen = try_map_indexed(1, 0, |_| cancel::cancelled());
+        let seen = try_map_indexed_watched(1, 0, None, |_| cancel::cancelled());
         assert_eq!(seen[0].as_ref().unwrap(), &false);
     }
 

@@ -458,18 +458,6 @@ impl World {
         self.ckpt.as_ref()
     }
 
-    /// Sets the number of worker threads the full power recompute fans over
-    /// (values below 1 clamp to 1 = sequential). It only takes effect on
-    /// networks of at least 8192 nodes; smaller ones always recompute on the
-    /// calling thread. Threading is a
-    /// pure execution strategy: the trajectory, trace and snapshots are
-    /// byte-identical at any thread count. New worlds start from the
-    /// [`crate::parallel::THREADS_ENV`] environment variable (default:
-    /// available parallelism).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.thread_count = threads.max(1);
-    }
-
     /// The configured worker thread count (1 = sequential).
     pub fn threads(&self) -> usize {
         self.thread_count

@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== benchmark package builds against the workspace API"
+# The benchmark is a workspace of its own that calls the library API by
+# path; a workspace API change that breaks it must fail here, not in the
+# bench pipeline.
+cargo build --release --offline --manifest-path crates/bench/examples/perf/Cargo.toml
+
 echo "== release golden digest (fig9 + fig13 byte-identity)"
 cargo test --release -p wrsn-bench --test golden_exp_digest -q
 
