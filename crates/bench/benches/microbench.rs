@@ -10,6 +10,9 @@ use wrsn::em::{superposition, Wave};
 use wrsn::net::keynode::{self, KeyNodeConfig};
 use wrsn::net::routing::RoutingTree;
 use wrsn::scenario::Scenario;
+use wrsn::sim::{
+    AuditConfig, CheckpointPolicy, Checkpointer, FaultConfig, FaultPlan, NullRecorder,
+};
 
 use wrsn_bench::experiments::common::synthetic_instance;
 
@@ -92,12 +95,58 @@ fn bench_full_attack(c: &mut Criterion) {
     group.finish();
 }
 
+/// One periodic checkpoint of a 400-node audited, fault-injected CSA world
+/// half-way through its horizon: `warm` keeps the checkpointer's encode
+/// cache across checkpoints, as a run does; `cold` attaches a fresh
+/// checkpointer each time, so it encodes the whole world.
+fn bench_checkpoint(c: &mut Criterion) {
+    // Each advance crosses one or two due instants, so it writes exactly one
+    // checkpoint, and moves the world by microseconds.
+    const EVERY_S: f64 = 1e-3;
+    const STEP_S: f64 = 1.5 * EVERY_S;
+    let mut group = c.benchmark_group("store");
+    group.sample_size(10);
+    let (nodes, seed) = (400, 1);
+    let scenario = Scenario::paper_scale(nodes, seed);
+    let mut world = scenario
+        .build()
+        .with_audit(AuditConfig::default().with_seed(seed));
+    world.set_fault_plan(FaultPlan::generate(
+        seed,
+        nodes,
+        scenario.horizon_s,
+        &FaultConfig::uniform(2),
+    ));
+    let mut policy = wrsn::core::attack::CsaAttackPolicy::new(scenario.tide_config());
+    let half_s = scenario.horizon_s / 2.0;
+    let _cancelled =
+        world.run_with_progress(&mut policy, &mut NullRecorder, 1.0, &mut |t, _| t < half_s);
+    let path = std::env::temp_dir().join(format!("wrsn-microbench-{}.ckpt", std::process::id()));
+    let checkpointer = Checkpointer::new(&path, CheckpointPolicy::every(EVERY_S));
+
+    let mut warm = world.clone();
+    warm.set_checkpointer(Some(checkpointer.clone()));
+    group.bench_function("checkpoint_write_due/warm", |b| {
+        b.iter(|| warm.advance_by(black_box(STEP_S)))
+    });
+    let mut cold = world;
+    group.bench_function("checkpoint_write_due/cold", |b| {
+        b.iter(|| {
+            cold.set_checkpointer(Some(checkpointer.clone()));
+            cold.advance_by(black_box(STEP_S))
+        })
+    });
+    group.finish();
+    let _ = std::fs::remove_file(&path);
+}
+
 criterion_group!(
     benches,
     bench_superposition,
     bench_network,
     bench_planners,
     bench_instance_derivation,
-    bench_full_attack
+    bench_full_attack,
+    bench_checkpoint
 );
 criterion_main!(benches);

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize, Value};
 use crate::energy::Battery;
 use crate::error::NetError;
 use crate::geom::Point;
-use crate::node::{NodeId, SensorNode};
+use crate::node::{node_json, NodeId, SensorNode};
 
 /// A WRSN communication graph: nodes, a sink and range-derived adjacency.
 ///
@@ -235,29 +235,94 @@ impl Serialize for Network {
     }
 
     fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
-        let mut map = serde::json::MapWriter::new(out);
-        let nodes = map.key("nodes");
-        nodes.push('[');
-        for i in 0..self.node_count() {
+        NetworkEncoder::default().encode(self, out)
+    }
+}
+
+/// Encodes a [`Network`] as JSON, keeping the parts that never change.
+///
+/// A built network only mutates its battery levels and its depletion and
+/// failure flags. The encoder keeps everything else already encoded: each
+/// node's position, capacity, warning threshold and sensing rate, and the
+/// tail after the node list (`sink`, `comm_range_m`, `adj` and
+/// `sink_neighbors`). Encoding a network again then formats three values per
+/// node and copies the rest. Clones of one network share its topology and
+/// its static columns, so the topology's identity keys the cache: any other
+/// network is encoded afresh. The bytes are always those of
+/// [`Serialize::write_json`], which runs a fresh encoder.
+#[derive(Debug, Default)]
+pub struct NetworkEncoder {
+    /// The topology of the network the static parts were encoded from.
+    topology: Option<Arc<Topology>>,
+    /// Node `i`'s static parts are `statics[cuts[3i]..cuts[3i + 1]]`,
+    /// `[cuts[3i + 1]..cuts[3i + 2]]` and `[cuts[3i + 2]..cuts[3i + 3]]`.
+    statics: String,
+    cuts: Vec<usize>,
+    /// `,"sink":…,"comm_range_m":…,"adj":[…],"sink_neighbors":[…]}`.
+    tail: String,
+}
+
+impl NetworkEncoder {
+    /// Appends `net`'s JSON to `out`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a non-finite float; `out` then holds a partial document.
+    pub fn encode(&mut self, net: &Network, out: &mut String) -> Result<(), serde::Error> {
+        let cached = self
+            .topology
+            .as_ref()
+            .is_some_and(|t| Arc::ptr_eq(t, &net.topology));
+        if !cached {
+            self.topology = None;
+            self.encode_statics(net)?;
+            self.topology = Some(Arc::clone(&net.topology));
+        }
+        out.push_str("{\"nodes\":[");
+        for (i, part) in self.cuts.windows(4).step_by(3).enumerate() {
             if i > 0 {
-                nodes.push(',');
+                out.push(',');
             }
-            self.materialize(i).write_json(nodes)?;
+            out.push_str(&self.statics[part[0]..part[1]]);
+            serde::json::write_f64(net.level_j[i], out)?;
+            out.push_str(&self.statics[part[1]..part[2]]);
+            serde::json::write_bool(net.depleted[i], out);
+            out.push_str(&self.statics[part[2]..part[3]]);
+            node_json::end(net.failed[i], out);
         }
-        nodes.push(']');
-        map.field("sink", &self.sink)?;
-        map.field("comm_range_m", &self.comm_range_m)?;
-        let adj = map.key("adj");
-        adj.push('[');
-        for id in self.ids() {
+        out.push(']');
+        out.push_str(&self.tail);
+        Ok(())
+    }
+
+    fn encode_statics(&mut self, net: &Network) -> Result<(), serde::Error> {
+        let (statics, cuts, tail) = (&mut self.statics, &mut self.cuts, &mut self.tail);
+        statics.clear();
+        cuts.clear();
+        cuts.push(0);
+        for i in 0..net.node_count() {
+            node_json::head(net.positions[i], net.capacity_j[i], statics)?;
+            cuts.push(statics.len());
+            node_json::mid(net.warning_j[i], statics)?;
+            cuts.push(statics.len());
+            node_json::tail(net.sensing_rate_bps[i], statics)?;
+            cuts.push(statics.len());
+        }
+        tail.clear();
+        tail.push_str(",\"sink\":");
+        net.sink.write_json(tail)?;
+        tail.push_str(",\"comm_range_m\":");
+        serde::json::write_f64(net.comm_range_m, tail)?;
+        tail.push_str(",\"adj\":[");
+        for id in net.ids() {
             if id.0 > 0 {
-                adj.push(',');
+                tail.push(',');
             }
-            self.neighbors(id).write_json(adj)?;
+            net.neighbors(id).write_json(tail)?;
         }
-        adj.push(']');
-        map.field("sink_neighbors", self.sink_neighbors())?;
-        map.end();
+        tail.push_str("],\"sink_neighbors\":");
+        net.sink_neighbors().write_json(tail)?;
+        tail.push('}');
         Ok(())
     }
 }
@@ -1138,6 +1203,41 @@ mod tests {
         back.write_json(&mut again).unwrap();
         assert_eq!(again, streamed);
         assert!(csr_bits(&back) == csr_bits(&net));
+    }
+
+    #[test]
+    fn a_kept_encoder_tracks_levels_and_flags() {
+        let nodes = crate::deploy::uniform(&Region::square(90.0), 40, 9);
+        let mut net = Network::build(nodes, Point::new(45.0, 45.0), 20.0);
+        let mut encoder = NetworkEncoder::default();
+        let encode = |encoder: &mut NetworkEncoder, net: &Network| {
+            let mut out = String::new();
+            encoder.encode(net, &mut out).unwrap();
+            let mut via_tree = String::new();
+            serde::json::write_value(&net.to_value(), &mut via_tree).unwrap();
+            assert_eq!(out, via_tree);
+            out
+        };
+        let first = encode(&mut encoder, &net);
+        {
+            let mut cols = net.energy_mut();
+            cols.discharge(3, 17.25);
+            cols.set_level(7, 0.0);
+        }
+        net.mark_failed(NodeId(11)).unwrap();
+        let second = encode(&mut encoder, &net);
+        assert_ne!(first, second);
+        assert!(second.contains("\"depleted\":true"));
+        assert!(second.contains("\"failed\":true"));
+        // Another network of the same size is encoded afresh, and so is the
+        // first again.
+        let other = Network::build(
+            crate::deploy::uniform(&Region::square(90.0), 40, 10),
+            Point::new(45.0, 45.0),
+            20.0,
+        );
+        encode(&mut encoder, &other);
+        assert_eq!(encode(&mut encoder, &net), second);
     }
 
     #[test]

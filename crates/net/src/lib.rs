@@ -45,7 +45,7 @@ pub mod routing;
 
 pub use error::NetError;
 pub use geom::{Point, Region};
-pub use graph::{EnergyColumnsMut, Network};
+pub use graph::{EnergyColumnsMut, Network, NetworkEncoder};
 pub use keynode::KeyNode;
 pub use node::{NodeId, SensorNode};
 

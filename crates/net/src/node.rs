@@ -77,15 +77,59 @@ impl Serialize for SensorNode {
     }
 
     fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
-        let mut map = serde::json::MapWriter::new(out);
-        map.field("position", &self.position)?;
-        map.field("battery", &self.battery)?;
-        map.field("sensing_rate_bps", &self.sensing_rate_bps)?;
-        if self.failed {
-            map.field("failed", &true)?;
-        }
-        map.end();
+        let battery = &self.battery;
+        node_json::head(self.position, battery.capacity_j(), out)?;
+        serde::json::write_f64(battery.level_j(), out)?;
+        node_json::mid(battery.warning_j(), out)?;
+        serde::json::write_bool(battery.is_depleted(), out);
+        node_json::tail(self.sensing_rate_bps, out)?;
+        node_json::end(self.failed, out);
         Ok(())
+    }
+}
+
+/// A node's JSON, split around the state a simulation mutates: the battery
+/// level, the depletion flag and the failure flag. Writing `head`, the level,
+/// `mid`, the flag, `tail` and `end` in turn gives
+/// `{"position":P,"battery":{"capacity_j":C,"level_j":L,"warning_j":W,"depleted":D},"sensing_rate_bps":S}`
+/// plus `"failed":true` for a hard-failed node. The network encoder caches
+/// `head`, `mid` and `tail` per node, since they never change once a network
+/// is built.
+pub(crate) mod node_json {
+    use crate::geom::Point;
+    use serde::Serialize as _;
+
+    /// `{"position":P,"battery":{"capacity_j":C,"level_j":`
+    pub(crate) fn head(
+        position: Point,
+        capacity_j: f64,
+        out: &mut String,
+    ) -> Result<(), serde::Error> {
+        out.push_str("{\"position\":");
+        position.write_json(out)?;
+        out.push_str(",\"battery\":{\"capacity_j\":");
+        serde::json::write_f64(capacity_j, out)?;
+        out.push_str(",\"level_j\":");
+        Ok(())
+    }
+
+    /// `,"warning_j":W,"depleted":`
+    pub(crate) fn mid(warning_j: f64, out: &mut String) -> Result<(), serde::Error> {
+        out.push_str(",\"warning_j\":");
+        serde::json::write_f64(warning_j, out)?;
+        out.push_str(",\"depleted\":");
+        Ok(())
+    }
+
+    /// `},"sensing_rate_bps":S`
+    pub(crate) fn tail(sensing_rate_bps: f64, out: &mut String) -> Result<(), serde::Error> {
+        out.push_str("},\"sensing_rate_bps\":");
+        serde::json::write_f64(sensing_rate_bps, out)
+    }
+
+    /// `,"failed":true}` for a hard-failed node, else `}`.
+    pub(crate) fn end(failed: bool, out: &mut String) {
+        out.push_str(if failed { ",\"failed\":true}" } else { "}" });
     }
 }
 

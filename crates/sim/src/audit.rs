@@ -29,12 +29,13 @@
 //! without (only the audit's own state differs). The probe *cost* is
 //! accounted against the base station's overhead budget, not the charger's.
 
-use serde::{Deserialize, Serialize};
+use serde::json::MapWriter;
+use serde::{Deserialize, Serialize, Value};
 
 use wrsn_net::NodeId;
 
 use crate::obs::{Counter, Recorder};
-use crate::store::fnv1a64;
+use crate::store::{fnv1a64, LogPrefix};
 
 /// Detector aggressiveness: how often to challenge, how much divergence to
 /// tolerate, and how many failures convict.
@@ -208,7 +209,7 @@ pub struct SessionObservation {
 
 /// The base station's online audit state: digital twin + probe ledger +
 /// conviction windows. Attach with [`crate::World::with_audit`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct AuditState {
     config: AuditConfig,
     /// Monotone probe-selection counter: the only randomness state, so the
@@ -228,6 +229,59 @@ pub struct AuditState {
     /// Eligible sessions that were selected but not probed because the
     /// overhead budget was exhausted.
     starved: u64,
+}
+
+impl Serialize for AuditState {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("config".to_string(), self.config.to_value()),
+            ("probe_seq".to_string(), self.probe_seq.to_value()),
+            ("probes".to_string(), self.probes.to_value()),
+            ("windows".to_string(), self.windows.to_value()),
+            ("convicted".to_string(), self.convicted.to_value()),
+            ("convictions".to_string(), self.convictions.to_value()),
+            ("spent_j".to_string(), self.spent_j.to_value()),
+            ("starved".to_string(), self.starved.to_value()),
+        ])
+    }
+
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        AuditEncoder::default().encode(self, out)
+    }
+}
+
+/// Encodes an [`AuditState`] as JSON, keeping what earlier encodes of the
+/// same audit wrote of its append-only probe and conviction logs (see
+/// [`LogPrefix`]).
+#[derive(Debug, Default)]
+pub(crate) struct AuditEncoder {
+    probes: LogPrefix,
+    convictions: LogPrefix,
+}
+
+impl AuditEncoder {
+    /// Appends `audit`'s JSON to `out`.
+    pub(crate) fn encode(
+        &mut self,
+        audit: &AuditState,
+        out: &mut String,
+    ) -> Result<(), serde::Error> {
+        let mut map = MapWriter::new(out);
+        map.field("config", &audit.config)?;
+        map.field("probe_seq", &audit.probe_seq)?;
+        let probes = &audit.probes;
+        self.probes
+            .encode(probes, probes.len(), map.key("probes"))?;
+        map.field("windows", &audit.windows)?;
+        map.field("convicted", &audit.convicted)?;
+        let convictions = &audit.convictions;
+        self.convictions
+            .encode(convictions, convictions.len(), map.key("convictions"))?;
+        map.field("spent_j", &audit.spent_j)?;
+        map.field("starved", &audit.starved)?;
+        map.end();
+        Ok(())
+    }
 }
 
 impl AuditState {

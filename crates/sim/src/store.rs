@@ -28,19 +28,24 @@
 //! command understands.
 //!
 //! Saving is one pass: the world streams its JSON through
-//! [`serde::Serialize::write_json`] into a buffer (a [`Checkpointer`] reuses
-//! one across its checkpoints and encodes the live world without cloning
-//! it), and the header and payload are written as two slices.
+//! [`serde::Serialize::write_json`] into a buffer, and the header and payload
+//! are written as two slices. A [`Checkpointer`] encodes the live world
+//! without cloning it, reuses one buffer across its checkpoints, and keeps
+//! what it already encoded of the parts that barely change between two
+//! checkpoints: the network's static columns and topology, and the
+//! append-only logs of the trace and the audit. Each checkpoint then formats
+//! only what changed, and its bytes stay those [`save`] writes for
+//! [`World::snapshot`] (debug builds check this at every checkpoint).
 
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use serde::Serialize as _;
+use serde::Serialize;
 
 use crate::obs::{Counter, Recorder};
-use crate::world::{Checkpoint, World};
+use crate::world::{Checkpoint, World, WorldEncoder};
 
 /// Magic string opening every checkpoint header.
 pub const MAGIC: &str = "WRSNCKPT";
@@ -249,23 +254,40 @@ fn write_atomic_parts(path: &Path, parts: &[&[u8]]) -> Result<(), StoreError> {
 /// Returns [`StoreError::Payload`] if the snapshot cannot be serialized
 /// (non-finite floats) or [`StoreError::Io`] on filesystem failure.
 pub fn save(path: &Path, checkpoint: &Checkpoint) -> Result<(), StoreError> {
-    save_world(path, checkpoint.world(), &mut String::new())
+    let mut payload = String::new();
+    encode(
+        path,
+        checkpoint.world(),
+        &mut WorldEncoder::default(),
+        &mut payload,
+    )?;
+    write_atomic_parts(path, &[header(&payload).as_bytes(), payload.as_bytes()])
 }
 
 /// Encodes `world` into `payload` (cleared first, so one buffer serves many
-/// checkpoints) and writes it under its header, as [`save`] does.
-fn save_world(path: &Path, world: &World, payload: &mut String) -> Result<(), StoreError> {
+/// checkpoints) through `encoder`.
+fn encode(
+    path: &Path,
+    world: &World,
+    encoder: &mut WorldEncoder,
+    payload: &mut String,
+) -> Result<(), StoreError> {
     payload.clear();
-    world.write_json(payload).map_err(|e| StoreError::Payload {
-        path: path.to_path_buf(),
-        detail: e.to_string(),
-    })?;
-    let header = format!(
+    encoder
+        .encode(world, payload)
+        .map_err(|e| StoreError::Payload {
+            path: path.to_path_buf(),
+            detail: e.to_string(),
+        })
+}
+
+/// The header line declaring `payload`'s length and checksum.
+fn header(payload: &str) -> String {
+    format!(
         "{MAGIC} v{FORMAT_VERSION} len={} fnv={:016x}\n",
         payload.len(),
         fnv1a64(payload.as_bytes())
-    );
-    write_atomic_parts(path, &[header.as_bytes(), payload.as_bytes()])
+    )
 }
 
 fn header_field<'a>(field: &'a str, key: &str, path: &Path) -> Result<&'a str, StoreError> {
@@ -289,23 +311,33 @@ fn header_field<'a>(field: &'a str, key: &str, path: &Path) -> Result<&'a str, S
 /// ([`StoreError::Truncated`]), bit rot ([`StoreError::ChecksumMismatch`]),
 /// or an unparsable payload ([`StoreError::Payload`]).
 pub fn load(path: &Path) -> Result<Checkpoint, StoreError> {
-    let text = fs::read_to_string(path).map_err(|e| io_err("read", path, &e))?;
-    let (header, payload) = match text.split_once('\n') {
-        Some(split) => split,
-        None => {
-            // No newline at all: either foreign content or a header torn
-            // before its terminator.
-            if text.starts_with(MAGIC) {
-                return Err(StoreError::MalformedHeader {
-                    path: path.to_path_buf(),
-                    detail: "header line is not newline-terminated".to_string(),
-                });
-            }
-            return Err(StoreError::BadMagic {
+    // Bytes first: the header and the checksum are checked before anything
+    // is decoded, so bit rot reads as a checksum mismatch, not as text that
+    // is not UTF-8.
+    let bytes = fs::read(path).map_err(|e| io_err("read", path, &e))?;
+    let Some(newline) = bytes.iter().position(|&b| b == b'\n') else {
+        // No newline at all: either foreign content or a header torn
+        // before its terminator.
+        if bytes.starts_with(MAGIC.as_bytes()) {
+            return Err(StoreError::MalformedHeader {
                 path: path.to_path_buf(),
+                detail: "header line is not newline-terminated".to_string(),
             });
         }
+        return Err(StoreError::BadMagic {
+            path: path.to_path_buf(),
+        });
     };
+    let (header, payload) = (&bytes[..newline], &bytes[newline + 1..]);
+    if !header.starts_with(MAGIC.as_bytes()) {
+        return Err(StoreError::BadMagic {
+            path: path.to_path_buf(),
+        });
+    }
+    let header = std::str::from_utf8(header).map_err(|_| StoreError::MalformedHeader {
+        path: path.to_path_buf(),
+        detail: "header line is not UTF-8".to_string(),
+    })?;
     let mut fields = header.split(' ');
     if fields.next() != Some(MAGIC) {
         return Err(StoreError::BadMagic {
@@ -355,15 +387,17 @@ pub fn load(path: &Path) -> Result<Checkpoint, StoreError> {
             actual: payload.len(),
         });
     }
-    if fnv1a64(payload.as_bytes()) != checksum {
+    if fnv1a64(payload) != checksum {
         return Err(StoreError::ChecksumMismatch {
             path: path.to_path_buf(),
         });
     }
-    serde_json::from_str(payload).map_err(|e| StoreError::Payload {
+    let payload_error = |detail: String| StoreError::Payload {
         path: path.to_path_buf(),
-        detail: e.to_string(),
-    })
+        detail,
+    };
+    let text = std::str::from_utf8(payload).map_err(|e| payload_error(e.to_string()))?;
+    serde_json::from_str(text).map_err(|e| payload_error(e.to_string()))
 }
 
 /// How often an attached [`Checkpointer`] persists the world.
@@ -397,7 +431,7 @@ impl CheckpointPolicy {
 /// rolled into the single target file (the "latest valid checkpoint"). Pure
 /// observation: attaching a checkpointer never perturbs the trajectory, and
 /// the checkpointer itself is never part of a snapshot.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Checkpointer {
     policy: CheckpointPolicy,
     path: PathBuf,
@@ -405,6 +439,23 @@ pub struct Checkpointer {
     written: u64,
     /// Encode buffer reused across checkpoints (scratch, not state).
     payload: String,
+    /// What earlier checkpoints encoded of the world (scratch, not state).
+    encoder: WorldEncoder,
+}
+
+// Hand-written: a clone starts with an empty buffer and encoder, since it may
+// be attached to another world.
+impl Clone for Checkpointer {
+    fn clone(&self) -> Self {
+        Checkpointer {
+            policy: self.policy,
+            path: self.path.clone(),
+            next_due_s: self.next_due_s,
+            written: self.written,
+            payload: String::new(),
+            encoder: WorldEncoder::default(),
+        }
+    }
 }
 
 impl Checkpointer {
@@ -416,6 +467,7 @@ impl Checkpointer {
             next_due_s: policy.every_sim_s,
             written: 0,
             payload: String::new(),
+            encoder: WorldEncoder::default(),
         }
     }
 
@@ -435,10 +487,19 @@ impl Checkpointer {
     }
 
     /// Re-arms the first due instant relative to `now_s` (called when the
-    /// checkpointer is attached to a world mid-run).
+    /// checkpointer is attached to a world mid-run, or the world is
+    /// restored). What it encoded of its previous world is dropped.
     pub(crate) fn armed_at(mut self, now_s: f64) -> Self {
         self.next_due_s = now_s + self.policy.every_sim_s;
+        self.forget_encoded();
         self
+    }
+
+    /// Drops what earlier checkpoints encoded: the next one encodes the
+    /// whole world afresh. Called when the world's logs may have been
+    /// replaced rather than appended to.
+    pub(crate) fn forget_encoded(&mut self) {
+        self.encoder = WorldEncoder::default();
     }
 
     /// Whether the clock has crossed the next due instant.
@@ -450,7 +511,9 @@ impl Checkpointer {
     ///
     /// The live world is encoded in place: its encoding never includes the
     /// checkpointer, so it is byte for byte the file [`save`] writes for
-    /// [`World::snapshot`], without cloning the world.
+    /// [`World::snapshot`], without cloning the world. The work is recorded
+    /// as a `checkpoint` span with `encode`, `hash` and `write` (create,
+    /// write, fsync and rename) children.
     pub(crate) fn write_due(
         &mut self,
         world: &World,
@@ -460,12 +523,94 @@ impl Checkpointer {
         if !self.due(now_s) {
             return Ok(());
         }
-        save_world(&self.path, world, &mut self.payload)?;
+        rec.span_enter("checkpoint");
+        let result = self.write(world, rec);
+        rec.span_exit("checkpoint");
+        result?;
         self.written += 1;
         rec.add(Counter::CheckpointsWritten, 1);
         while self.next_due_s <= now_s {
             self.next_due_s += self.policy.every_sim_s;
         }
+        Ok(())
+    }
+
+    fn write(&mut self, world: &World, rec: &mut dyn Recorder) -> Result<(), StoreError> {
+        rec.span_enter("encode");
+        let encoded = encode(&self.path, world, &mut self.encoder, &mut self.payload);
+        rec.span_exit("encode");
+        encoded?;
+        #[cfg(debug_assertions)]
+        {
+            let mut fresh = String::new();
+            encode(&self.path, world, &mut WorldEncoder::default(), &mut fresh)?;
+            assert!(
+                fresh == self.payload,
+                "checkpoint at t = {} s: the cached encoding differs from a fresh one",
+                world.time_s()
+            );
+        }
+        rec.span_enter("hash");
+        let header = header(&self.payload);
+        rec.span_exit("hash");
+        rec.span_enter("write");
+        let written = write_atomic_parts(&self.path, &[header.as_bytes(), self.payload.as_bytes()]);
+        rec.span_exit("write");
+        written
+    }
+}
+
+/// The JSON of an append-only log's first elements, kept so the next encode
+/// of the same log copies them instead of formatting them again: `[` and
+/// the first `len` elements, comma-separated.
+#[derive(Debug, Default)]
+pub(crate) struct LogPrefix {
+    text: String,
+    len: usize,
+}
+
+impl LogPrefix {
+    /// Appends `items` as a JSON array to `out`. The first `settled` items
+    /// are final: any not yet kept are encoded once and kept. The rest are
+    /// encoded on every call. A log whose settled part is shorter than what
+    /// is kept was replaced, not appended to, and is encoded afresh.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a non-finite float; `out` then holds a partial document and
+    /// the kept prefix is unchanged.
+    pub(crate) fn encode<T: Serialize>(
+        &mut self,
+        items: &[T],
+        settled: usize,
+        out: &mut String,
+    ) -> Result<(), serde::Error> {
+        if settled < self.len {
+            self.text.clear();
+            self.len = 0;
+        }
+        if self.text.is_empty() {
+            self.text.push('[');
+        }
+        for item in &items[self.len..settled] {
+            let mark = self.text.len();
+            if self.len > 0 {
+                self.text.push(',');
+            }
+            if let Err(e) = item.write_json(&mut self.text) {
+                self.text.truncate(mark);
+                return Err(e);
+            }
+            self.len += 1;
+        }
+        out.push_str(&self.text);
+        for (i, item) in items.iter().enumerate().skip(settled) {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out)?;
+        }
+        out.push(']');
         Ok(())
     }
 }
@@ -521,6 +666,35 @@ mod tests {
             Err(StoreError::UnsupportedVersion { version: 999, .. })
         ));
         fs::write(&path, format!("{MAGIC} v1 len=abc fnv=0\n{{}}")).unwrap();
+        assert!(matches!(
+            load(&path),
+            Err(StoreError::MalformedHeader { .. })
+        ));
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn load_checks_the_checksum_before_decoding_text() {
+        let path = temp_path("bytes");
+        let frame = |payload: &[u8], fnv: u64| {
+            let mut file =
+                format!("{MAGIC} v1 len={} fnv={fnv:016x}\n", payload.len()).into_bytes();
+            file.extend_from_slice(payload);
+            file
+        };
+        // A corrupted byte that is not UTF-8 is bit rot, not an I/O error.
+        fs::write(&path, frame(b"\xff}", fnv1a64(b"{}"))).unwrap();
+        assert!(matches!(
+            load(&path),
+            Err(StoreError::ChecksumMismatch { .. })
+        ));
+        // A checksummed payload that is not UTF-8 is a payload error.
+        fs::write(&path, frame(b"\xff}", fnv1a64(b"\xff}"))).unwrap();
+        assert!(matches!(load(&path), Err(StoreError::Payload { .. })));
+        // So is a header that is not UTF-8 after the magic.
+        let mut file = frame(b"{}", fnv1a64(b"{}"));
+        file[MAGIC.len() + 1] = 0xff;
+        fs::write(&path, file).unwrap();
         assert!(matches!(
             load(&path),
             Err(StoreError::MalformedHeader { .. })

@@ -6,12 +6,14 @@
 //! *delivered* to the node (what only the node itself can measure) — the gap
 //! between the two is the spoofing attack's signature.
 
-use serde::{Deserialize, Serialize};
+use serde::json::MapWriter;
+use serde::{Deserialize, Serialize, Value};
 
 use wrsn_net::{NodeId, Point};
 
 use crate::charger::ChargeMode;
 use crate::fault::FaultKind;
+use crate::store::LogPrefix;
 
 /// One completed (or truncated) charging session.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -95,11 +97,56 @@ pub enum SimEvent {
 }
 
 /// The full recorded trace of a simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Deserialize)]
 pub struct Trace {
     events: Vec<(f64, SimEvent)>,
     sessions: Vec<ChargeSession>,
     death_times: Vec<(NodeId, f64)>,
+}
+
+impl Serialize for Trace {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("events".to_string(), self.events.to_value()),
+            ("sessions".to_string(), self.sessions.to_value()),
+            ("death_times".to_string(), self.death_times.to_value()),
+        ])
+    }
+
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        TraceEncoder::default().encode(self, out)
+    }
+}
+
+/// Encodes a [`Trace`] as JSON, keeping what earlier encodes of the same
+/// trace wrote of its logs (see [`LogPrefix`]). Events and death times are
+/// append-only. Sessions are too, except the last one:
+/// [`Trace::record_session`] may still merge the next chunk into it, so it
+/// is encoded afresh every time.
+#[derive(Debug, Default)]
+pub(crate) struct TraceEncoder {
+    events: LogPrefix,
+    sessions: LogPrefix,
+    death_times: LogPrefix,
+}
+
+impl TraceEncoder {
+    /// Appends `trace`'s JSON to `out`.
+    pub(crate) fn encode(&mut self, trace: &Trace, out: &mut String) -> Result<(), serde::Error> {
+        let mut map = MapWriter::new(out);
+        let events = &trace.events;
+        self.events
+            .encode(events, events.len(), map.key("events"))?;
+        let sessions = &trace.sessions;
+        let settled = sessions.len().saturating_sub(1);
+        self.sessions
+            .encode(sessions, settled, map.key("sessions"))?;
+        let deaths = &trace.death_times;
+        self.death_times
+            .encode(deaths, deaths.len(), map.key("death_times"))?;
+        map.end();
+        Ok(())
+    }
 }
 
 impl Trace {

@@ -12,9 +12,9 @@ use wrsn_net::energy::RadioEnergyModel;
 use wrsn_net::keynode;
 use wrsn_net::metrics::{self, HealthSnapshot};
 use wrsn_net::routing::{self, RoutingTree, TrafficLoad};
-use wrsn_net::{EnergyColumnsMut, Network, NodeId};
+use wrsn_net::{EnergyColumnsMut, Network, NetworkEncoder, NodeId};
 
-use crate::audit::{AuditConfig, AuditState, SessionObservation};
+use crate::audit::{AuditConfig, AuditEncoder, AuditState, SessionObservation};
 use crate::charger::{ChargeMode, MobileCharger};
 use crate::error::SimError;
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
@@ -22,7 +22,7 @@ use crate::obs::{self, Counter, Gauge, Recorder, TraceRecord};
 use crate::policy::{ChargerAction, ChargerPolicy, WorldView};
 use crate::request::{ChargeRequest, RequestQueue};
 use crate::store::Checkpointer;
-use crate::trace::{ChargeSession, SimEvent, Trace};
+use crate::trace::{ChargeSession, SimEvent, Trace, TraceEncoder};
 
 /// Static configuration of a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -191,7 +191,7 @@ impl Default for Scratch {
 // Hand-written so the scratch buffers stay out of snapshots: the JSON shape
 // is identical to the previous derived form, and `Scratch` is rebuilt from
 // the deserialized fields. `write_json` streams the same fields in the same
-// order; the checkpointer encodes a live world through it.
+// order through a fresh `WorldEncoder`, the one the checkpointer keeps.
 impl Serialize for World {
     fn to_value(&self) -> serde::Value {
         let mut entries = vec![
@@ -220,23 +220,43 @@ impl Serialize for World {
     }
 
     fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        WorldEncoder::default().encode(self, out)
+    }
+}
+
+/// Encodes a [`World`] as JSON, keeping what earlier encodes of the same
+/// world wrote of its network, trace and audit, which barely change between
+/// two checkpoints. A [`crate::store::Checkpointer`] keeps one across its
+/// checkpoints, and drops it whenever it may no longer match the world:
+/// on attach, on [`World::restore`], [`World::set_audit`] and
+/// [`World::set_fault_plan`].
+#[derive(Debug, Default)]
+pub(crate) struct WorldEncoder {
+    net: NetworkEncoder,
+    trace: TraceEncoder,
+    audit: AuditEncoder,
+}
+
+impl WorldEncoder {
+    /// Appends `world`'s JSON to `out`.
+    pub(crate) fn encode(&mut self, world: &World, out: &mut String) -> Result<(), serde::Error> {
         let mut map = serde::json::MapWriter::new(out);
-        map.field("net", &self.net)?;
-        map.field("charger", &self.charger)?;
-        map.field("config", &self.config)?;
-        map.field("time_s", &self.time_s)?;
-        map.field("tree", &self.tree)?;
-        map.field("power_w", &self.power_w)?;
-        map.field("requests", &self.requests)?;
-        map.field("trace", &self.trace)?;
-        map.field("lifetime_s", &self.lifetime_s)?;
-        map.field("depot_visits", &self.depot_visits)?;
-        map.field("energy_used_j", &self.energy_used_j)?;
-        if let Some(faults) = &self.faults {
+        self.net.encode(&world.net, map.key("net"))?;
+        map.field("charger", &world.charger)?;
+        map.field("config", &world.config)?;
+        map.field("time_s", &world.time_s)?;
+        map.field("tree", &world.tree)?;
+        map.field("power_w", &world.power_w)?;
+        map.field("requests", &world.requests)?;
+        self.trace.encode(&world.trace, map.key("trace"))?;
+        map.field("lifetime_s", &world.lifetime_s)?;
+        map.field("depot_visits", &world.depot_visits)?;
+        map.field("energy_used_j", &world.energy_used_j)?;
+        if let Some(faults) = &world.faults {
             map.field("faults", faults)?;
         }
-        if let Some(audit) = &self.audit {
-            map.field("audit", audit)?;
+        if let Some(audit) = &world.audit {
+            self.audit.encode(audit, map.key("audit"))?;
         }
         map.end();
         Ok(())
@@ -404,6 +424,9 @@ impl World {
     /// events scheduled before the current time fire on the next advance.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.scratch.horizon = None;
+        if let Some(ckpt) = &mut self.ckpt {
+            ckpt.forget_encoded();
+        }
         self.faults = if plan.is_empty() {
             None
         } else {
@@ -433,6 +456,9 @@ impl World {
     /// Replaces any previously attached audit and resets its state.
     pub fn set_audit(&mut self, config: Option<AuditConfig>) {
         self.audit = config.map(AuditState::new);
+        if let Some(ckpt) = &mut self.ckpt {
+            ckpt.forget_encoded();
+        }
     }
 
     /// The attached online audit, if any.

@@ -166,13 +166,16 @@ proptest! {
         prop_assert_eq!(state_json(&donor), state_json(&restored));
     }
 
-    /// Flipping any single byte of a checkpoint file makes `store::load`
-    /// return a typed error — never a panic, never a silently wrong world.
+    /// Corrupting any single byte of a checkpoint file, with any bit
+    /// pattern, makes `store::load` return a typed error — never a panic,
+    /// never a silently wrong world. A corrupted payload byte is always a
+    /// checksum mismatch, even where it leaves the payload invalid UTF-8.
     #[test]
     fn corrupted_checkpoint_is_rejected_with_a_typed_error(
         seed in 0u64..1_000_000,
         t1 in 1.0e3f64..2.0e4,
         flip in 0usize..1_000_000_000,
+        mask in 1u16..256,
     ) {
         let mut donor = build_world(4, seed, 2.0e5);
         donor.advance_by(t1).expect("advance");
@@ -180,18 +183,27 @@ proptest! {
         store::save(&path, &donor.snapshot()).expect("save checkpoint");
 
         let mut bytes = std::fs::read(&path).expect("read back");
+        let header_len = bytes.iter().position(|&b| b == b'\n').expect("header line") + 1;
         let at = flip % bytes.len();
-        bytes[at] ^= 0x01;
+        let mask = mask as u8;
+        bytes[at] ^= mask;
         std::fs::write(&path, &bytes).expect("rewrite corrupted");
 
         let result = store::load(&path);
         std::fs::remove_file(&path).ok();
         let err = match result {
             Err(e) => e,
-            // A flipped payload byte can keep the JSON well-formed only if
-            // the checksum also matched — impossible for a 1-bit flip.
+            // A changed payload byte can keep the JSON well-formed only if
+            // the checksum also matched — impossible for FNV-1a, whose every
+            // step is a bijection of its state.
             Ok(_) => return Err(TestCaseError::fail("corrupted checkpoint loaded")),
         };
+        if at >= header_len {
+            prop_assert!(
+                matches!(err, StoreError::ChecksumMismatch { .. }),
+                "payload byte {at} ^ {mask:#04x}: unexpected error: {err}"
+            );
+        }
         prop_assert!(matches!(
             err,
             StoreError::BadMagic { .. }

@@ -38,6 +38,14 @@ echo "== release golden digest (checkpoint store bytes)"
 # encoding on the checkpoint path must keep the v1 file byte-identical.
 cargo test --release --test golden_checkpoint -q
 
+echo "== release checkpoint encode-cache byte identity"
+# The checkpointer keeps what it encoded of the world between checkpoints.
+# Every file it rolls must still equal store::save of a snapshot, across
+# merged sessions, set_audit/set_fault_plan and restores; the release build
+# runs without the debug-build oracle that checks the same at every
+# checkpoint.
+cargo test --release -p wrsn-sim --test checkpoint_cache -q
+
 echo "== release key-node census proptest (vs. reference Brandes)"
 # The exact census against independent references in a release build:
 # Brandes betweenness bit for bit, every stranded count against the
