@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p wrsn-bench --release --bin exp -- --id fig6
-//! cargo run -p wrsn-bench --release --bin exp -- --id all --json bench.json
+//! cargo run -p wrsn-bench --release --bin exp -- --id all --trace trace.jsonl
 //! cargo run -p wrsn-bench --release --bin exp -- --id all --timeout-s 300
 //! cargo run -p wrsn-bench --release --bin exp -- --resume target/experiments
 //! cargo run -p wrsn-bench --release --bin exp -- --list
@@ -13,10 +13,9 @@
 //! parallel; each experiment's output is buffered and printed in the
 //! canonical `EXPERIMENTS.md` order, so the transcript is byte-identical to
 //! a sequential run. `--threads 1` (or `WRSN_THREADS=1`) forces sequential
-//! execution; `--json <path>` additionally records wall-clock time per
-//! experiment, observability counters, span timings, and CSA planner
-//! micro-timings; `--trace <path>` writes the versioned JSONL trace stream
-//! in canonical experiment order.
+//! execution; `--trace <path>` writes the versioned JSONL trace stream in
+//! canonical experiment order, each experiment closed by its `Counters`
+//! record.
 //!
 //! **Durable runs.** Every campaign keeps a [`manifest`] under `--out-dir`:
 //! per-experiment status transitions are persisted atomically as they
@@ -34,14 +33,11 @@ use std::process::ExitCode;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use serde::Value;
 use wrsn::sim::store::write_atomic;
 use wrsn_bench::error::BenchError;
-use wrsn_bench::experiments::common::synthetic_instance;
 use wrsn_bench::manifest::{self, ExpStatus, FailKind, Manifest, StoredOutput};
-use wrsn_bench::obs::{self, Counter, Recorder, SpanStats, StatsRecorder};
+use wrsn_bench::obs::{self, Recorder, StatsRecorder};
 use wrsn_bench::parallel::{self, FailureKind};
-use wrsn_bench::service::git_rev;
 
 /// Everything one experiment produced, buffered for in-order printing.
 struct ExpOutput {
@@ -51,14 +47,6 @@ struct ExpOutput {
     csvs: Vec<(String, String)>,
     /// Serialized JSONL trace lines (empty unless observability is on).
     jsonl: Vec<String>,
-    /// Nonzero counters at the end of the experiment.
-    counters: Vec<(String, u64)>,
-    /// Aggregated span wall-times (never part of the JSONL stream, never
-    /// persisted — a replayed experiment has none).
-    spans: Vec<SpanStats>,
-    /// Effective worker threads the experiment's worlds ran with, recorded
-    /// at run time (a replay reports the original run's value).
-    threads: usize,
 }
 
 impl ExpOutput {
@@ -69,8 +57,6 @@ impl ExpOutput {
             rendered: self.rendered.clone(),
             csvs: self.csvs.clone(),
             jsonl: self.jsonl.clone(),
-            counters: self.counters.clone(),
-            threads: self.threads,
         }
     }
 
@@ -81,9 +67,6 @@ impl ExpOutput {
             rendered: stored.rendered,
             csvs: stored.csvs,
             jsonl: stored.jsonl,
-            counters: stored.counters,
-            spans: Vec::new(),
-            threads: stored.threads,
         }
     }
 }
@@ -96,12 +79,8 @@ fn run_experiment(id: &'static str, observe: bool) -> Result<ExpOutput, BenchErr
     let tables = wrsn_bench::run_with(id, rec)?;
     let wall_s = started.elapsed().as_secs_f64();
     let mut jsonl = Vec::new();
-    let mut counters = Vec::new();
-    let mut spans = Vec::new();
     if observe {
         stats.emit_counters(id);
-        counters = stats.counter_entries();
-        spans = stats.spans().to_vec();
         for record in stats.records() {
             jsonl.push(obs::to_jsonl_line(record).map_err(|e| BenchError::Trace {
                 id: id.to_string(),
@@ -119,11 +98,6 @@ fn run_experiment(id: &'static str, observe: bool) -> Result<ExpOutput, BenchErr
             .map(|(k, t)| (format!("{id}_{k}.csv"), t.to_csv()))
             .collect(),
         jsonl,
-        counters,
-        spans,
-        // Recorded at run time so a `--resume` replay reports the strategy
-        // the numbers were actually produced with, not today's environment.
-        threads: parallel::threads(),
     })
 }
 
@@ -150,112 +124,10 @@ fn emit(output: &ExpOutput, dir: &Path) -> Result<(), BenchError> {
     Ok(())
 }
 
-/// Times `csa::plan` on the synthetic planner workload at several sizes.
-fn planner_timings() -> Vec<(usize, f64)> {
-    [10usize, 20, 40, 80]
-        .iter()
-        .map(|&n| {
-            let inst = synthetic_instance(n, 42, 400.0, 1.0e9);
-            let schedule = wrsn::core::csa::plan(&inst); // warm-up
-            std::hint::black_box(&schedule);
-            let mut repeats = 0u32;
-            let started = Instant::now();
-            while repeats < 3 || (started.elapsed().as_secs_f64() < 0.3 && repeats < 200) {
-                std::hint::black_box(wrsn::core::csa::plan(std::hint::black_box(&inst)));
-                repeats += 1;
-            }
-            (n, started.elapsed().as_secs_f64() / f64::from(repeats))
-        })
-        .collect()
-}
-
-/// Campaign-level durability tallies for the `--json` report. These stay out
-/// of the JSONL trace on purpose: the trace must be byte-identical between
-/// an uninterrupted run and a resumed one.
-struct Campaign {
-    run_id: String,
-    resumes: u64,
-    timeouts: u64,
-}
-
-fn json_report(outputs: &[ExpOutput], planner: &[(usize, f64)], campaign: &Campaign) -> Value {
-    let experiments = outputs
-        .iter()
-        .map(|o| {
-            let mut entry = vec![
-                ("id".to_string(), Value::Str(o.id.to_string())),
-                ("wall_s".to_string(), Value::F64(o.wall_s)),
-                ("threads".to_string(), Value::U64(o.threads as u64)),
-            ];
-            if !o.counters.is_empty() {
-                entry.push((
-                    "counters".to_string(),
-                    Value::Map(
-                        o.counters
-                            .iter()
-                            .map(|(name, v)| (name.clone(), Value::U64(*v)))
-                            .collect(),
-                    ),
-                ));
-            }
-            if !o.spans.is_empty() {
-                entry.push((
-                    "spans".to_string(),
-                    Value::Seq(
-                        o.spans
-                            .iter()
-                            .map(|s| {
-                                Value::Map(vec![
-                                    ("path".to_string(), Value::Str(s.path.clone())),
-                                    ("total_s".to_string(), Value::F64(s.total_s)),
-                                    ("count".to_string(), Value::U64(s.count)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-            Value::Map(entry)
-        })
-        .collect();
-    let planner = planner
-        .iter()
-        .map(|&(n, secs)| {
-            Value::Map(vec![
-                ("n".to_string(), Value::U64(n as u64)),
-                ("plan_s".to_string(), Value::F64(secs)),
-            ])
-        })
-        .collect();
-    Value::Map(vec![
-        (
-            "threads".to_string(),
-            Value::U64(parallel::threads() as u64),
-        ),
-        ("git_rev".to_string(), Value::Str(git_rev())),
-        (
-            "campaign".to_string(),
-            Value::Map(vec![
-                ("run_id".to_string(), Value::Str(campaign.run_id.clone())),
-                (
-                    Counter::Resumes.name().to_string(),
-                    Value::U64(campaign.resumes),
-                ),
-                (
-                    Counter::Timeouts.name().to_string(),
-                    Value::U64(campaign.timeouts),
-                ),
-            ]),
-        ),
-        ("experiments".to_string(), Value::Seq(experiments)),
-        ("csa_planner".to_string(), Value::Seq(planner)),
-    ])
-}
-
 fn usage() -> String {
     format!(
-        "usage: exp --id <id>[,<id>...]|all [--threads <n>] [--out-dir <dir>] [--json <path>] [--trace <path>] [--timeout-s <s>]\n\
-         \x20      exp --resume <dir> [--threads <n>] [--json <path>] [--trace <path>] [--timeout-s <s>]\n\
+        "usage: exp --id <id>[,<id>...]|all [--threads <n>] [--out-dir <dir>] [--trace <path>] [--timeout-s <s>]\n\
+         \x20      exp --resume <dir> [--threads <n>] [--trace <path>] [--timeout-s <s>]\n\
          \x20      exp --list\n\
          known ids: {}\n\
          extra ids (not in `all`): {}",
@@ -270,7 +142,6 @@ struct Cli {
     id: Option<String>,
     /// `--resume <dir>`.
     resume: Option<PathBuf>,
-    json_path: Option<String>,
     trace_path: Option<String>,
     out_dir: PathBuf,
     /// Watchdog deadline per experiment, seconds.
@@ -307,7 +178,6 @@ fn parse_cli(args: &[String]) -> Result<Option<Cli>, BenchError> {
     let mut cli = Cli {
         id: None,
         resume: None,
-        json_path: None,
         trace_path: None,
         out_dir: PathBuf::from("target").join("experiments"),
         timeout_s: None,
@@ -332,10 +202,6 @@ fn parse_cli(args: &[String]) -> Result<Option<Cli>, BenchError> {
                     "--resume",
                     "a campaign directory",
                 )?));
-            }
-            "--json" => {
-                cli.json_path =
-                    Some(flag_value(args, &mut i, "--json", "a file path")?.to_string());
             }
             "--trace" => {
                 cli.trace_path =
@@ -363,7 +229,7 @@ fn parse_cli(args: &[String]) -> Result<Option<Cli>, BenchError> {
             }
             other => {
                 return Err(BenchError::InvalidFlag {
-                    flag: "--id",
+                    flag: "exp",
                     detail: format!("unknown argument `{other}`"),
                 })
             }
@@ -501,13 +367,12 @@ fn run_campaign(cli: &Cli) -> Result<ExitCode, BenchError> {
         if ids.is_empty() {
             return Err(BenchError::unknown_id(id));
         }
-        let observe = cli.trace_path.is_some() || cli.json_path.is_some();
         (
             Manifest::new(
                 fresh_run_id(),
                 &ids,
                 parallel::threads(),
-                observe,
+                cli.trace_path.is_some(),
                 cli.timeout_s,
             ),
             ids,
@@ -516,8 +381,6 @@ fn run_campaign(cli: &Cli) -> Result<ExitCode, BenchError> {
     // Observability on resume follows the original run so replayed artifacts
     // and re-run experiments agree on what the trace contains.
     let observe = manifest.observed;
-    let run_id = manifest.run_id.clone();
-    let resumes = manifest.resumes;
     let timeout_s = cli.timeout_s.or(manifest.timeout_s);
     manifest.save(&cli.out_dir)?;
     let manifest = Mutex::new(manifest);
@@ -617,29 +480,6 @@ fn run_campaign(cli: &Cli) -> Result<ExitCode, BenchError> {
         eprintln!("[trace] {records} records written to {path}");
     }
 
-    if let Some(path) = &cli.json_path {
-        let campaign = Campaign {
-            run_id,
-            resumes,
-            timeouts: failures
-                .iter()
-                .filter(|f| f.kind == FailKind::Timeout)
-                .count() as u64,
-        };
-        let report = json_report(&outputs, &planner_timings(), &campaign);
-        let text = serde_json::to_string(&report).map_err(|e| BenchError::Trace {
-            id: "report".to_string(),
-            detail: e.0,
-        })?;
-        write_atomic(Path::new(path), (text + "\n").as_bytes()).map_err(|e| {
-            BenchError::Manifest {
-                path: PathBuf::from(path),
-                detail: e.to_string(),
-            }
-        })?;
-        eprintln!("[json] timing report written to {path}");
-    }
-
     if !failures.is_empty() {
         eprintln!(
             "error: {} of {} experiment(s) failed:",
@@ -688,5 +528,52 @@ fn main() -> ExitCode {
             }
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rejected(args: &[&str]) -> (&'static str, String) {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        match parse_cli(&args) {
+            Err(BenchError::InvalidFlag { flag, detail }) => (flag, detail),
+            Err(other) => panic!("{args:?}: expected an invalid flag, got {other}"),
+            Ok(_) => panic!("{args:?}: expected an error"),
+        }
+    }
+
+    #[test]
+    fn unknown_arguments_are_named() {
+        let (_, detail) = rejected(&["--id", "fig2", "--json", "x"]);
+        assert_eq!(detail, "unknown argument `--json`");
+        let (flag, detail) = rejected(&["--foo"]);
+        assert_ne!(flag, "--id", "an unknown argument is not an --id error");
+        assert_eq!(detail, "unknown argument `--foo`");
+    }
+
+    #[test]
+    fn zero_threads_are_rejected() {
+        let (flag, detail) = rejected(&["--id", "fig2", "--threads", "0"]);
+        assert_eq!(flag, "--threads");
+        assert!(detail.contains("`0`"), "{detail}");
+    }
+
+    #[test]
+    fn negative_timeouts_are_rejected() {
+        let (flag, detail) = rejected(&["--id", "fig2", "--timeout-s", "-1"]);
+        assert_eq!(flag, "--timeout-s");
+        assert!(detail.contains("`-1`"), "{detail}");
+    }
+
+    #[test]
+    fn resume_excludes_id_and_out_dir() {
+        let (flag, detail) = rejected(&["--id", "fig2", "--resume", "d"]);
+        assert_eq!(flag, "--resume");
+        assert!(detail.contains("--id"), "{detail}");
+        let (flag, detail) = rejected(&["--resume", "d", "--out-dir", "e"]);
+        assert_eq!(flag, "--out-dir");
+        assert!(detail.contains("--resume"), "{detail}");
     }
 }

@@ -10,7 +10,7 @@
 //! # Drive a running daemon with a deterministic mixed-size load.
 //! cargo run -p wrsn-bench --release --bin wrsnd -- \
 //!     load --connect 127.0.0.1:7878 --requests 1000 --conns 8 \
-//!          --dup-frac 0.5 --json BENCH_pr7.json --shutdown
+//!          --dup-frac 0.5 --shutdown
 //! ```
 //!
 //! The wire protocol, dedupe semantics, and deadline behaviour are
@@ -33,7 +33,7 @@ fn usage() -> String {
      \x20                  [--cache-cap-bytes <n>] [--idle-timeout-s <s>]\n\
      \x20      wrsnd load --connect <addr> [--requests <n>] [--conns <n>] [--dup-frac <f>]\n\
      \x20                 [--stream-frac <f>] [--max-attempts <n>] [--deadline-s <s>]\n\
-     \x20                 [--seed <n>] [--json <path>] [--verify-exp <id>] [--shutdown]\n\
+     \x20                 [--seed <n>] [--verify-exp <id>] [--shutdown]\n\
      \x20      wrsnd chaos --upstream <addr> [--listen <addr>] [--seed <n>]"
         .to_string()
 }
@@ -189,7 +189,6 @@ fn parse_load(args: Vec<String>) -> Result<LoadConfig, BenchError> {
         seed: 7,
         max_attempts: 8,
         verify_exp: None,
-        json_path: None,
         shutdown: false,
     };
     let mut args = args.into_iter().peekable();
@@ -270,9 +269,6 @@ fn parse_load(args: Vec<String>) -> Result<LoadConfig, BenchError> {
                 }
                 config.verify_exp = Some(id);
             }
-            "--json" => {
-                config.json_path = Some(std::path::PathBuf::from(take_value(&mut args, "--json")?))
-            }
             "--shutdown" => config.shutdown = true,
             other => {
                 return Err(invalid(
@@ -339,9 +335,6 @@ fn real_main() -> Result<(), BenchError> {
                 opt(wrsn_bench::stats::p99(&report.latency_ms)),
                 opt(wrsn_bench::stats::max(&report.latency_ms)),
             );
-            if let Some(path) = &config.json_path {
-                eprintln!("[load] report written to {}", path.display());
-            }
             if report.violations.is_empty() && report.ok == report.sent {
                 Ok(())
             } else {

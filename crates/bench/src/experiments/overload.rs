@@ -16,8 +16,9 @@
 //!
 //! Not part of `--id all`: run explicitly with `exp --id overload`. The
 //! burst size can be overridden via `WRSN_OVERLOAD_REQUESTS=96` for longer
-//! soaks. Under `exp --json`, the shed/eviction/stream tallies also surface
-//! as `requests_shed` / `cache_evictions` / `stream_frames` counters.
+//! soaks. Under `exp --trace`, the shed/eviction/stream tallies also surface
+//! as `requests_shed` / `cache_evictions` / `stream_frames` in the
+//! experiment's closing `Counters` record.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

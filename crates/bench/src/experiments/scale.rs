@@ -22,6 +22,7 @@ use wrsn::scenario::Scenario;
 use wrsn::sim::obs::{NullRecorder, Recorder};
 
 use crate::experiments::common::run_csa_scaled_with;
+use crate::parallel;
 use crate::table::{f, Table};
 
 /// Network sizes swept by the full experiment.
@@ -86,7 +87,7 @@ pub fn tide_config(n: usize) -> TideConfig {
 pub struct ScaleRow {
     /// Network size.
     pub nodes: usize,
-    /// Worker threads the world's graph build and power recompute ran with.
+    /// Worker threads the world's graph build ran with.
     pub threads: usize,
     /// Seconds to deploy and build the world (graph, routing, grid).
     pub build_s: f64,
@@ -108,7 +109,7 @@ pub fn run_at_size_with(n: usize, rec: &mut dyn Recorder) -> ScaleRow {
     let built = Instant::now();
     let mut world = scenario.build();
     let build_s = built.elapsed().as_secs_f64();
-    let threads = world.threads();
+    let threads = parallel::threads();
     let ran = Instant::now();
     let (report, outcome) = run_csa_scaled_with(&mut world, config, rec);
     let run_s = ran.elapsed().as_secs_f64();
@@ -142,13 +143,7 @@ pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
         ],
     );
     for n in sizes() {
-        // Span names must be `'static`; a handful of leaked size labels per
-        // process puts the nodes-vs-wall-seconds curve into the `--json`
-        // report's span table.
-        let span: &'static str = Box::leak(format!("scale_n{n}").into_boxed_str());
-        rec.span_enter(span);
         let row = run_at_size_with(n, rec);
-        rec.span_exit(span);
         table.push(vec![
             row.nodes.to_string(),
             row.threads.to_string(),

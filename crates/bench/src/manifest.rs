@@ -206,12 +206,6 @@ pub struct StoredOutput {
     pub csvs: Vec<(String, String)>,
     /// Serialized JSONL trace lines (empty unless observability was on).
     pub jsonl: Vec<String>,
-    /// Nonzero counters at the end of the experiment.
-    pub counters: Vec<(String, u64)>,
-    /// Worker threads the run executed with. An artifact predating this
-    /// field fails deserialization, which the replay path already treats as
-    /// a corrupt artifact: the experiment deterministically re-runs.
-    pub threads: usize,
 }
 
 /// Path of the artifact for `id` under `out_dir`.
@@ -351,8 +345,6 @@ mod tests {
             rendered: vec!["## fig2\ntable".to_string()],
             csvs: vec![("fig2_0.csv".to_string(), "a,b\n1,2\n".to_string())],
             jsonl: vec!["{\"t\":\"meta\"}".to_string()],
-            counters: vec![("sessions_started".to_string(), 7)],
-            threads: 2,
         };
         let digest = save_artifact(&dir, &output).expect("save");
         assert_eq!(digest.len(), 16);
@@ -385,8 +377,6 @@ mod tests {
             rendered: vec!["## fig2".to_string()],
             csvs: vec![("fig2_0.csv".to_string(), "a\n1\n".to_string())],
             jsonl: Vec::new(),
-            counters: Vec::new(),
-            threads: 1,
         };
         let digest = save_artifact(&dir, &output).expect("save");
         let path = artifact_path(&dir, "fig2");
@@ -420,8 +410,6 @@ mod tests {
             rendered: Vec::new(),
             csvs: Vec::new(),
             jsonl: Vec::new(),
-            counters: Vec::new(),
-            threads: 1,
         };
         save_artifact(&dir, &output).expect("save artifact");
         let mut walk = vec![dir.clone()];

@@ -1,4 +1,4 @@
-//! The synthetic load generator behind `wrsnd load` and `BENCH_pr9.json`.
+//! The synthetic load generator behind `wrsnd load`.
 //!
 //! Opens `conns` TCP connections to a running daemon and drives `requests`
 //! scenario requests through them, pipelined (every connection keeps its
@@ -41,7 +41,6 @@ use std::time::{Duration, Instant};
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::Value;
 use wrsn::sim::store;
 
 use super::request::{self, DeploymentKind, ParsedResponse, Payload, ScenarioSpec};
@@ -94,8 +93,6 @@ pub struct LoadConfig {
     pub max_attempts: u32,
     /// Also send this experiment id and compare against an in-process run.
     pub verify_exp: Option<String>,
-    /// Write the JSON report here (atomically) when set.
-    pub json_path: Option<std::path::PathBuf>,
     /// Send `{"op":"shutdown"}` after the run completes.
     pub shutdown: bool,
 }
@@ -121,102 +118,10 @@ pub struct LoadReport {
     pub retries: usize,
     /// Reconnect-and-resend cycles after drops or stalls.
     pub reconnects: usize,
-    /// Requests sent with `{"stream":true}`.
-    pub stream_requests: usize,
     /// `progress` frames received and validated.
     pub stream_frames: usize,
-    /// The daemon's own `stats` snapshot (canonical JSON), when reachable.
-    pub daemon_stats: Option<String>,
     /// Contract violations (empty for a passing run).
     pub violations: Vec<String>,
-}
-
-impl LoadReport {
-    /// The JSON report body (`BENCH_pr9.json` schema).
-    pub fn to_value(&self, config: &LoadConfig) -> Value {
-        let opt = |x: Option<f64>| x.map(Value::F64).unwrap_or(Value::Null);
-        let lat = &self.latency_ms;
-        let daemon = self
-            .daemon_stats
-            .as_deref()
-            .and_then(|s| serde_json::from_str(s).ok())
-            .unwrap_or(Value::Null);
-        Value::Map(vec![
-            ("bench".to_string(), Value::Str("wrsnd-loadgen".to_string())),
-            ("requests".to_string(), Value::U64(self.sent as u64)),
-            ("conns".to_string(), Value::U64(config.conns as u64)),
-            ("dup_frac".to_string(), Value::F64(config.dup_frac)),
-            ("stream_frac".to_string(), Value::F64(config.stream_frac)),
-            ("seed".to_string(), Value::U64(config.seed)),
-            (
-                "max_attempts".to_string(),
-                Value::U64(u64::from(config.max_attempts)),
-            ),
-            (
-                "node_sizes".to_string(),
-                Value::Seq(NODE_SIZES.iter().map(|&n| Value::U64(n as u64)).collect()),
-            ),
-            ("ok".to_string(), Value::U64(self.ok as u64)),
-            (
-                "cache".to_string(),
-                Value::Map(vec![
-                    ("miss".to_string(), Value::U64(self.cache_paths.0 as u64)),
-                    ("hit".to_string(), Value::U64(self.cache_paths.1 as u64)),
-                    (
-                        "coalesced".to_string(),
-                        Value::U64(self.cache_paths.2 as u64),
-                    ),
-                ]),
-            ),
-            (
-                "overload".to_string(),
-                Value::Map(vec![
-                    ("shed".to_string(), Value::U64(self.shed as u64)),
-                    ("retries".to_string(), Value::U64(self.retries as u64)),
-                    ("reconnects".to_string(), Value::U64(self.reconnects as u64)),
-                    (
-                        "shed_rate".to_string(),
-                        Value::F64(if self.sent > 0 {
-                            self.shed as f64 / self.sent as f64
-                        } else {
-                            0.0
-                        }),
-                    ),
-                ]),
-            ),
-            (
-                "stream".to_string(),
-                Value::Map(vec![
-                    (
-                        "requests".to_string(),
-                        Value::U64(self.stream_requests as u64),
-                    ),
-                    ("frames".to_string(), Value::U64(self.stream_frames as u64)),
-                ]),
-            ),
-            ("wall_s".to_string(), Value::F64(self.wall_s)),
-            ("goodput_rps".to_string(), Value::F64(self.throughput_rps)),
-            (
-                "latency_ms".to_string(),
-                Value::Map(vec![
-                    ("mean".to_string(), Value::F64(crate::stats::mean(lat))),
-                    ("p50".to_string(), opt(crate::stats::p50(lat))),
-                    ("p99".to_string(), opt(crate::stats::p99(lat))),
-                    ("max".to_string(), opt(crate::stats::max(lat))),
-                ]),
-            ),
-            ("daemon".to_string(), daemon),
-            (
-                "violations".to_string(),
-                Value::Seq(
-                    self.violations
-                        .iter()
-                        .map(|v| Value::Str(v.clone()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
 }
 
 /// One planned request: the wire line, its payload digest, and whether it
@@ -304,7 +209,6 @@ pub fn run_load(config: &LoadConfig) -> Result<LoadReport, BenchError> {
     let addr_path = std::path::Path::new(&config.connect);
     let stream_plan = request_stream(config);
     let conns = config.conns.clamp(1, stream_plan.len().max(1));
-    let stream_requests = stream_plan.iter().filter(|p| p.streamed).count();
 
     let mut expected: HashMap<String, String> = HashMap::new(); // id → digest
     for planned in &stream_plan {
@@ -477,7 +381,7 @@ pub fn run_load(config: &LoadConfig) -> Result<LoadReport, BenchError> {
         }
     }
 
-    let report = LoadReport {
+    Ok(LoadReport {
         sent: stream_plan.len(),
         ok,
         cache_paths,
@@ -491,36 +395,9 @@ pub fn run_load(config: &LoadConfig) -> Result<LoadReport, BenchError> {
         shed,
         retries,
         reconnects,
-        stream_requests,
         stream_frames,
-        daemon_stats: fetch_daemon_stats(&config.connect),
         violations,
-    };
-    if let Some(path) = &config.json_path {
-        let text = serde_json::to_string(&report.to_value(config))
-            .expect("report has no non-finite floats");
-        store::write_atomic(path, format!("{text}\n").as_bytes()).map_err(|e| {
-            BenchError::Manifest {
-                path: path.clone(),
-                detail: e.to_string(),
-            }
-        })?;
-    }
-    Ok(report)
-}
-
-/// Asks the daemon for its own `stats` snapshot over a fresh connection;
-/// `None` when it cannot be reached (e.g. through a misbehaving proxy).
-fn fetch_daemon_stats(connect: &str) -> Option<String> {
-    let mut stream = TcpStream::connect(connect).ok()?;
-    stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
-    stream
-        .write_all(b"{\"id\":\"stats\",\"op\":\"stats\"}\n")
-        .ok()?;
-    stream.flush().ok()?;
-    let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line).ok()?;
-    request::parse_response(line.trim()).ok()?.result_canonical
+    })
 }
 
 /// Seeded, jittered exponential backoff for retry `attempt` (0-based),
@@ -896,7 +773,6 @@ mod tests {
             seed,
             max_attempts: 8,
             verify_exp: None,
-            json_path: None,
             shutdown: false,
         }
     }

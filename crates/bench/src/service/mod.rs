@@ -26,7 +26,7 @@
 //!
 //! Module map: [`request`] (wire schema + payload execution), [`cache`]
 //! (the artifact store), [`scheduler`] (worker pool), [`server`] (TCP/stdin
-//! frontends), [`loadgen`] (the benchmark driver behind `BENCH_pr9.json`),
+//! frontends), [`loadgen`] (the contract-checking client behind `wrsnd load`),
 //! [`chaos`] (the fault-injecting proxy the hardening is tested through).
 
 pub mod cache;
@@ -35,17 +35,3 @@ pub mod loadgen;
 pub mod request;
 pub mod scheduler;
 pub mod server;
-
-/// Short git revision of the working tree, for provenance stamps in bench
-/// reports; `unknown` outside a git checkout or without git on the path.
-pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|rev| rev.trim().to_string())
-        .filter(|rev| !rev.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}

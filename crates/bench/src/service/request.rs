@@ -29,7 +29,7 @@
 //! fields in fixed order) — the cache key two textually different but
 //! semantically identical requests share.
 
-use serde::{Serialize as _, Value};
+use serde::{Serialize, Value};
 use wrsn::core::attack::{evaluate_attack, CsaAttackPolicy};
 use wrsn::scenario::{Deployment, Scenario};
 use wrsn::sim::obs::{self, NullRecorder, TraceRecord, SCHEMA_VERSION};
@@ -428,8 +428,8 @@ pub fn parse_line(line: &str, seq: u64) -> Result<Request, String> {
 /// digital twin concluded, distilled for the response envelope. Like
 /// `wall_ms` and `cache`, this lives *outside* the digested `result` bytes —
 /// the audit is observational, so the result is byte-identical with or
-/// without it.
-#[derive(Debug, Clone, PartialEq)]
+/// without it. Encoded as the envelope's `audit` field, in field order.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AuditSummary {
     /// The preset the campaign ran under.
     pub preset: String,
@@ -460,27 +460,6 @@ impl AuditSummary {
             first_conviction_s: audit.first_conviction_s(),
             spent_j: audit.spent_j(),
         })
-    }
-
-    /// The JSON value embedded in the response envelope's `audit` field.
-    pub fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("preset".to_string(), Value::Str(self.preset.clone())),
-            ("probes".to_string(), Value::U64(self.probes)),
-            (
-                "probe_failures".to_string(),
-                Value::U64(self.probe_failures),
-            ),
-            ("convictions".to_string(), Value::U64(self.convictions)),
-            (
-                "first_conviction_s".to_string(),
-                match self.first_conviction_s {
-                    Some(t) => Value::F64(t),
-                    None => Value::Null,
-                },
-            ),
-            ("spent_j".to_string(), Value::F64(self.spent_j)),
-        ])
     }
 }
 
@@ -777,7 +756,7 @@ pub fn ok_line(
     let audit = match audit {
         Some(summary) => format!(
             "\"audit\":{},",
-            serde_json::to_string(&summary.to_value()).expect("audit summaries are finite")
+            serde_json::to_string(summary).expect("audit summaries are finite")
         ),
         None => String::new(),
     };
@@ -1196,6 +1175,63 @@ mod tests {
         // Without a detector there is no summary.
         let (_, none) = execute_with(&payload, None, None).expect("runs");
         assert!(none.is_none());
+    }
+
+    #[test]
+    fn audit_envelope_bytes_are_pinned() {
+        // The envelope's `audit` field is wire schema: clients parse it by
+        // name and order, so its exact bytes are pinned for one fresh
+        // detector run (no conviction: a `null` time) and for a summary
+        // with a conviction.
+        let payload = Payload::Scenario(ScenarioSpec {
+            nodes: 24,
+            seed: 7,
+            horizon_s: 400_000.0,
+            deployment: DeploymentKind::Uniform,
+        });
+        let (result, summary) =
+            execute_with(&payload, Some("aggressive"), None).expect("runs with audit");
+        let line = ok_line(
+            "q1",
+            "00deadbeef00cafe",
+            "miss",
+            1.5,
+            &result,
+            summary.as_ref(),
+        );
+        let audit = line
+            .split_once("\"audit\":")
+            .and_then(|(_, rest)| rest.split_once(",\"result\":"))
+            .map(|(audit, _)| audit)
+            .expect("audit field precedes result");
+        assert_eq!(
+            audit,
+            "{\"preset\":\"aggressive\",\"probes\":17,\"probe_failures\":0,\
+             \"convictions\":0,\"first_conviction_s\":null,\"spent_j\":85}"
+        );
+        let convicted = AuditSummary {
+            preset: "lax".to_string(),
+            probes: 3,
+            probe_failures: 2,
+            convictions: 1,
+            first_conviction_s: Some(1234.5),
+            spent_j: 2.25,
+        };
+        let line = ok_line(
+            "q2",
+            "00deadbeef00cafe",
+            "hit",
+            0.25,
+            "{}",
+            Some(&convicted),
+        );
+        assert_eq!(
+            line,
+            "{\"v\":1,\"id\":\"q2\",\"status\":\"ok\",\"digest\":\"00deadbeef00cafe\",\
+             \"cache\":\"hit\",\"wall_ms\":0.250,\"audit\":{\"preset\":\"lax\",\"probes\":3,\
+             \"probe_failures\":2,\"convictions\":1,\"first_conviction_s\":1234.5,\
+             \"spent_j\":2.25},\"result\":{}}"
+        );
     }
 
     #[test]

@@ -421,7 +421,6 @@ fn a_load_run_through_the_chaos_proxy_converges_with_zero_violations() {
         seed: 7,
         max_attempts: 10,
         verify_exp: None,
-        json_path: None,
         shutdown: false,
     };
     let report = run_load(&config).expect("load run completes");

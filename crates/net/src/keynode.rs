@@ -316,42 +316,6 @@ pub fn effective_power_draw_with_tree(
         .collect()
 }
 
-/// Below this node count the parallel power-draw recompute falls back to the
-/// sequential map: spawn overhead would dominate.
-const PARALLEL_POWER_MIN_NODES: usize = 8192;
-
-/// [`effective_power_draw_with_tree`] fanned over `threads` scoped worker
-/// threads. [`effective_node_power`] is pure and bitwise-stable per node, and
-/// each worker writes a disjoint contiguous chunk of the output, so the
-/// result is identical at any thread count.
-pub fn effective_power_draw_with_tree_threads(
-    net: &Network,
-    mask: &[bool],
-    radio: &RadioEnergyModel,
-    tree: &RoutingTree,
-    load: &routing::TrafficLoad,
-    threads: usize,
-) -> Vec<f64> {
-    let n = net.node_count();
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 || n < PARALLEL_POWER_MIN_NODES {
-        return effective_power_draw_with_tree(net, mask, radio, tree, load);
-    }
-    let mut power = vec![0.0f64; n];
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (c, out) in power.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                let base = c * chunk;
-                for (k, slot) in out.iter_mut().enumerate() {
-                    *slot = effective_node_power(net, mask, radio, tree, load, base + k);
-                }
-            });
-        }
-    });
-    power
-}
-
 /// Effective power draw of a single node: relay power over the hop to its
 /// parent when routed, the disconnected-drain floor when alive but stranded,
 /// nothing when dead. Pure in `(mask, aliveness, parent, reachability, load)`
@@ -510,30 +474,6 @@ mod tests {
         assert!(keys
             .iter()
             .all(|k| matches!(k.reason, KeyReason::CutVertex | KeyReason::Both)));
-    }
-
-    #[test]
-    fn threaded_power_draw_matches_sequential() {
-        // Above the parallel threshold so the threaded path actually runs.
-        let nodes = deploy::uniform(&Region::square(400.0), 9000, 11);
-        let net = Network::build(nodes, Point::new(200.0, 200.0), 12.0);
-        let mask = net.alive_mask();
-        let radio = RadioEnergyModel::classical();
-        let tree = RoutingTree::shortest_path(&net, &mask);
-        let load = routing::traffic_load(&net, &tree, &mask);
-        let seq = effective_power_draw_with_tree(&net, &mask, &radio, &tree, &load);
-        for threads in [2, 3, 8] {
-            let par =
-                effective_power_draw_with_tree_threads(&net, &mask, &radio, &tree, &load, threads);
-            assert_eq!(seq.len(), par.len());
-            for i in 0..seq.len() {
-                assert_eq!(
-                    seq[i].to_bits(),
-                    par[i].to_bits(),
-                    "threads {threads} node {i}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! envelope carrying [`SCHEMA_VERSION`] so future consumers can evolve the
 //! schema without guessing.
 //!
-//! Wall-clock span timings never enter the JSONL stream — they go to the
-//! `--json` report instead — so a trace is a pure function of the simulation
-//! and stays byte-identical across `WRSN_THREADS` settings and host speeds.
+//! Wall-clock span timings never enter the JSONL stream — a recorder keeps
+//! them in memory for its caller to read — so a trace is a pure function of
+//! the simulation and stays byte-identical across `WRSN_THREADS` settings
+//! and host speeds.
 
 use std::time::Instant;
 
@@ -115,13 +116,9 @@ pub enum Counter {
     /// Injected charging-request losses.
     FaultRequestsLost,
     /// World checkpoints persisted to disk by an attached
-    /// [`crate::store::Checkpointer`].
+    /// [`crate::store::Checkpointer`]: writes, at most one per segment
+    /// boundary, not elapsed checkpoint intervals.
     CheckpointsWritten,
-    /// Completed experiments restored from a durable run manifest instead of
-    /// re-executed (`exp --resume`).
-    Resumes,
-    /// Work items cancelled by the watchdog at their wall-clock deadline.
-    Timeouts,
     /// Service requests rejected at admission because the scheduler queue
     /// was full (answered with a typed `overloaded` response).
     RequestsShed,
@@ -149,7 +146,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (size for dense per-counter arrays).
-    pub const COUNT: usize = 48;
+    pub const COUNT: usize = 46;
 
     /// All counters, in declaration (= serialization) order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -189,8 +186,6 @@ impl Counter {
         Counter::FaultChargerStalls,
         Counter::FaultRequestsLost,
         Counter::CheckpointsWritten,
-        Counter::Resumes,
-        Counter::Timeouts,
         Counter::RequestsShed,
         Counter::CacheEvictions,
         Counter::StreamFrames,
@@ -242,8 +237,6 @@ impl Counter {
             Counter::FaultChargerStalls => "fault_charger_stalls",
             Counter::FaultRequestsLost => "fault_requests_lost",
             Counter::CheckpointsWritten => "checkpoints_written",
-            Counter::Resumes => "resumes",
-            Counter::Timeouts => "timeouts",
             Counter::RequestsShed => "requests_shed",
             Counter::CacheEvictions => "cache_evictions",
             Counter::StreamFrames => "stream_frames",

@@ -18,9 +18,13 @@
 //!
 //! [`CheckpointPolicy`] + [`Checkpointer`] turn the store into a training-job
 //! style periodic snapshotter: attach one to a [`World`] with
-//! [`World::set_checkpointer`] and the run loop persists the world every N
-//! *simulated* seconds, rolling a single "latest" file. Restoring that file
-//! and re-advancing reproduces the uninterrupted trajectory bitwise (see
+//! [`World::set_checkpointer`] and the run loop persists the world at
+//! integration-segment boundaries, rolling a single "latest" file. Due
+//! instants fall every N *simulated* seconds; a checkpoint is written at the
+//! first segment boundary at or after a due instant, at most once per
+//! boundary, so due instants that pass inside one event-free segment yield a
+//! single write. Restoring that file and re-advancing reproduces the
+//! uninterrupted trajectory bitwise (see
 //! `crates/sim/tests/checkpoint_restore.rs`).
 //!
 //! The payload after the header line is exactly the world's forensic JSON
@@ -403,12 +407,16 @@ pub fn load(path: &Path) -> Result<Checkpoint, StoreError> {
 /// How often an attached [`Checkpointer`] persists the world.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointPolicy {
-    /// Interval between checkpoints, *simulated* seconds.
+    /// Interval between due instants, *simulated* seconds.
     pub every_sim_s: f64,
 }
 
 impl CheckpointPolicy {
-    /// A policy snapshotting every `every_sim_s` simulated seconds.
+    /// A policy with a due instant every `every_sim_s` simulated seconds.
+    /// The world is written at the first integration-segment boundary at or
+    /// after each due instant, once per boundary however many due instants
+    /// it passed, so a long event-free segment yields one write, not one per
+    /// interval.
     ///
     /// # Panics
     ///
@@ -481,7 +489,8 @@ impl Checkpointer {
         self.policy
     }
 
-    /// Checkpoints written so far.
+    /// Checkpoint files written so far: one per segment boundary that found
+    /// a due instant passed, not one per elapsed interval.
     pub fn written(&self) -> u64 {
         self.written
     }

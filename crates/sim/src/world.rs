@@ -127,10 +127,6 @@ pub struct World {
     /// serialized, never part of a [`Checkpoint`], never perturbs the
     /// trajectory.
     ckpt: Option<Checkpointer>,
-    /// Worker threads the full power recompute fans over (1 = sequential).
-    /// Pure execution strategy, like `ckpt`: never serialized, preserved
-    /// across [`World::restore`], byte-identical output at any value.
-    thread_count: usize,
     scratch: Scratch,
 }
 
@@ -294,7 +290,6 @@ impl Deserialize for World {
                 None => None,
             },
             ckpt: None,
-            thread_count: crate::parallel::threads(),
             scratch: Scratch::default(),
         };
         world.rebuild_scratch();
@@ -402,7 +397,6 @@ impl World {
             faults: None,
             audit: None,
             ckpt: None,
-            thread_count: crate::parallel::threads(),
             scratch: Scratch::default(),
         };
         world.refresh_full();
@@ -468,12 +462,15 @@ impl World {
 
     /// Attaches (or detaches, with `None`) a periodic on-disk
     /// [`Checkpointer`]: during [`World::run_with`]/[`World::advance_by`] the
-    /// world is persisted to the checkpointer's file every
-    /// [`crate::store::CheckpointPolicy::every_sim_s`] simulated seconds,
-    /// rolling atomically so the file always holds the latest complete
-    /// snapshot. The first checkpoint falls one interval after the current
-    /// clock. Checkpointing is pure observation — the trajectory, trace, and
-    /// snapshots stay byte-identical to an unobserved run.
+    /// world is persisted to the checkpointer's file at the first
+    /// integration-segment boundary at or after each due instant, rolling
+    /// atomically so the file always holds the latest complete snapshot. Due
+    /// instants fall every [`crate::store::CheckpointPolicy::every_sim_s`]
+    /// simulated seconds, the first one interval after the current clock; a
+    /// boundary writes at most once, so due instants passed inside one
+    /// event-free segment yield a single write. Checkpointing is pure
+    /// observation — the trajectory, trace, and snapshots stay byte-identical
+    /// to an unobserved run.
     pub fn set_checkpointer(&mut self, ckpt: Option<Checkpointer>) {
         let now_s = self.time_s;
         self.ckpt = ckpt.map(|c| c.armed_at(now_s));
@@ -482,11 +479,6 @@ impl World {
     /// The attached checkpointer, if any.
     pub fn checkpointer(&self) -> Option<&Checkpointer> {
         self.ckpt.as_ref()
-    }
-
-    /// The configured worker thread count (1 = sequential).
-    pub fn threads(&self) -> usize {
-        self.thread_count
     }
 
     /// Current simulation time, seconds.
@@ -578,16 +570,13 @@ impl World {
         self.scratch.load = routing::traffic_load(&self.net, &self.tree, &self.scratch.alive);
         // Includes the disconnected-drain floor: alive-but-disconnected nodes
         // keep listening and beaconing for a route — they are "exhausted in
-        // vain", which is exactly the fate the attack inflicts. Per-node
-        // power is pure and bitwise-stable, so the threaded recompute is
-        // identical at any thread count.
-        self.power_w = keynode::effective_power_draw_with_tree_threads(
+        // vain", which is exactly the fate the attack inflicts.
+        self.power_w = keynode::effective_power_draw_with_tree(
             &self.net,
             &self.scratch.alive,
             &self.config.radio,
             &self.tree,
             &self.scratch.load,
-            self.thread_count,
         );
         self.check_lifetime();
         self.scan_requests();
@@ -1281,14 +1270,11 @@ impl World {
     /// event horizon — is invalidated and rebuilt, so the restored world's
     /// subsequent trajectory is bitwise identical to the uninterrupted one.
     pub fn restore(&mut self, checkpoint: &Checkpoint) {
-        // Supervision attachments and execution strategy survive a restore: a
-        // world resuming from disk keeps writing its periodic checkpoints and
-        // keeps its configured thread count (which never changes output).
+        // Supervision attachments survive a restore: a world resuming from
+        // disk keeps writing its periodic checkpoints.
         let ckpt = self.ckpt.take();
-        let thread_count = self.thread_count;
         *self = checkpoint.state.clone();
         self.ckpt = ckpt.map(|c| c.armed_at(self.time_s));
-        self.thread_count = thread_count;
         self.scratch = Scratch::default();
         self.rebuild_scratch();
     }

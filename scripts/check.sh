@@ -54,8 +54,8 @@ cargo test --release -p wrsn-net --test keynode_census -q
 
 echo "== scale-smoke: 10k nodes, thread counts 1 and 8, identical traces"
 # Threading is a pure execution strategy: 10k nodes is above the 8192-node
-# gates of both the threaded graph build and the threaded power recompute,
-# so this covers both, and the full trace must be byte-identical.
+# gate of the threaded graph build, so the threaded build runs, and the
+# full trace must be byte-identical.
 scale_t1="$(mktemp)"
 scale_t8="$(mktemp)"
 scale_dir="$(mktemp -d)"
