@@ -31,8 +31,9 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
+use wrsn::sim::cancel::budget_from_secs;
 use wrsn::sim::store::write_atomic;
 use wrsn_bench::error::BenchError;
 use wrsn_bench::manifest::{self, ExpStatus, FailKind, Manifest, StoredOutput};
@@ -163,12 +164,13 @@ fn flag_value<'a>(
         })
 }
 
+/// A deadline in seconds that a `Duration` can hold.
 fn parse_timeout(raw: &str, flag: &'static str) -> Result<f64, BenchError> {
     match raw.trim().parse::<f64>() {
-        Ok(s) if s.is_finite() && s > 0.0 => Ok(s),
+        Ok(s) if budget_from_secs(s).is_some() => Ok(s),
         _ => Err(BenchError::InvalidFlag {
             flag,
-            detail: format!("needs a positive number of seconds, got `{raw}`"),
+            detail: format!("needs a positive number of seconds below 1.8e19, got `{raw}`"),
         }),
     }
 }
@@ -392,7 +394,9 @@ fn run_campaign(cli: &Cli) -> Result<ExitCode, BenchError> {
     // through the engine's cooperative cancellation token. Every status
     // transition is persisted atomically, so a SIGKILL at any point leaves a
     // resumable manifest.
-    let deadline = timeout_s.map(Duration::from_secs_f64);
+    // Both sources were validated when read: the flag or environment in
+    // `parse_timeout`, a resumed manifest in `Manifest::load`.
+    let deadline = timeout_s.and_then(budget_from_secs);
     let out_dir = cli.out_dir.as_path();
     let results = parallel::try_map_indexed_watched(ids.len(), 1, deadline, |k| {
         let id = ids[k];
@@ -565,6 +569,16 @@ mod tests {
         let (flag, detail) = rejected(&["--id", "fig2", "--timeout-s", "-1"]);
         assert_eq!(flag, "--timeout-s");
         assert!(detail.contains("`-1`"), "{detail}");
+    }
+
+    #[test]
+    fn timeouts_beyond_a_duration_are_rejected() {
+        let (flag, detail) = rejected(&["--id", "fig2", "--timeout-s", "1e20"]);
+        assert_eq!(flag, "--timeout-s");
+        assert!(detail.contains("`1e20`"), "{detail}");
+        // The environment variable goes through the same check.
+        assert!(parse_timeout("1e20", "WRSN_TIMEOUT_S").is_err());
+        assert_eq!(parse_timeout("2.5", "WRSN_TIMEOUT_S").unwrap(), 2.5);
     }
 
     #[test]

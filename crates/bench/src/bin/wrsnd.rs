@@ -22,6 +22,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use wrsn::sim::cancel::budget_from_secs;
 use wrsn_bench::error::BenchError;
 use wrsn_bench::service::chaos::{self, ChaosConfig};
 use wrsn_bench::service::loadgen::{run_load, LoadConfig};
@@ -49,6 +50,22 @@ fn take_value(
 ) -> Result<String, BenchError> {
     args.next()
         .ok_or_else(|| invalid(flag, "missing value".to_string()))
+}
+
+/// Pulls `flag`'s value as a wall-clock budget: seconds that are positive,
+/// finite and small enough for a [`Duration`]. Returns the seconds as given
+/// and the budget.
+fn take_secs(
+    args: &mut std::iter::Peekable<std::vec::IntoIter<String>>,
+    flag: &'static str,
+) -> Result<(f64, Duration), BenchError> {
+    let raw = take_value(args, flag)?;
+    let s: f64 = raw
+        .parse()
+        .map_err(|_| invalid(flag, format!("not a number: `{raw}`")))?;
+    let budget = budget_from_secs(s)
+        .ok_or_else(|| invalid(flag, format!("must be positive and below 1.8e19 s: {s}")))?;
+    Ok((s, budget))
 }
 
 fn parse_serve(args: Vec<String>) -> Result<ServeConfig, BenchError> {
@@ -82,16 +99,7 @@ fn parse_serve(args: Vec<String>) -> Result<ServeConfig, BenchError> {
                 }
                 config.workers = n;
             }
-            "--deadline-s" => {
-                let raw = take_value(&mut args, "--deadline-s")?;
-                let s: f64 = raw
-                    .parse()
-                    .map_err(|_| invalid("--deadline-s", format!("not a number: `{raw}`")))?;
-                if !s.is_finite() || s <= 0.0 {
-                    return Err(invalid("--deadline-s", format!("must be positive: {s}")));
-                }
-                config.default_deadline = Duration::from_secs_f64(s);
-            }
+            "--deadline-s" => config.default_deadline = take_secs(&mut args, "--deadline-s")?.1,
             "--max-requests" => {
                 let raw = take_value(&mut args, "--max-requests")?;
                 config.max_requests = Some(
@@ -123,17 +131,7 @@ fn parse_serve(args: Vec<String>) -> Result<ServeConfig, BenchError> {
                 config.cache_cap_bytes = Some(n);
             }
             "--idle-timeout-s" => {
-                let raw = take_value(&mut args, "--idle-timeout-s")?;
-                let s: f64 = raw
-                    .parse()
-                    .map_err(|_| invalid("--idle-timeout-s", format!("not a number: `{raw}`")))?;
-                if !s.is_finite() || s <= 0.0 {
-                    return Err(invalid(
-                        "--idle-timeout-s",
-                        format!("must be positive: {s}"),
-                    ));
-                }
-                config.idle_timeout = Some(Duration::from_secs_f64(s));
+                config.idle_timeout = Some(take_secs(&mut args, "--idle-timeout-s")?.1);
             }
             other => {
                 return Err(invalid(
@@ -243,16 +241,7 @@ fn parse_load(args: Vec<String>) -> Result<LoadConfig, BenchError> {
                 }
                 config.max_attempts = n;
             }
-            "--deadline-s" => {
-                let raw = take_value(&mut args, "--deadline-s")?;
-                let s: f64 = raw
-                    .parse()
-                    .map_err(|_| invalid("--deadline-s", format!("not a number: `{raw}`")))?;
-                if !s.is_finite() || s <= 0.0 {
-                    return Err(invalid("--deadline-s", format!("must be positive: {s}")));
-                }
-                config.deadline_s = s;
-            }
+            "--deadline-s" => config.deadline_s = take_secs(&mut args, "--deadline-s")?.0,
             "--seed" => {
                 let raw = take_value(&mut args, "--seed")?;
                 config.seed = raw
@@ -374,5 +363,49 @@ fn main() -> ExitCode {
             eprintln!("wrsnd: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    fn rejected_flag(result: Result<impl Sized, BenchError>) -> (&'static str, String) {
+        match result {
+            Err(BenchError::InvalidFlag { flag, detail }) => (flag, detail),
+            Err(other) => panic!("expected an invalid flag, got {other}"),
+            Ok(_) => panic!("expected an error"),
+        }
+    }
+
+    #[test]
+    fn seconds_beyond_a_duration_are_rejected_not_a_panic() {
+        for flag in ["--deadline-s", "--idle-timeout-s"] {
+            let (named, detail) = rejected_flag(parse_serve(args(&[flag, "1e20"])));
+            assert_eq!(named, flag);
+            assert!(detail.contains("1.8e19"), "{detail}");
+        }
+        let (named, _) = rejected_flag(parse_load(args(&[
+            "--connect",
+            "127.0.0.1:1",
+            "--deadline-s",
+            "1e20",
+        ])));
+        assert_eq!(named, "--deadline-s");
+        let (named, _) = rejected_flag(parse_serve(args(&["--deadline-s", "0"])));
+        assert_eq!(named, "--deadline-s");
+    }
+
+    #[test]
+    fn valid_seconds_parse() {
+        let config = parse_serve(args(&["--deadline-s", "2.5", "--idle-timeout-s", "9"])).unwrap();
+        assert_eq!(config.default_deadline, Duration::from_millis(2500));
+        assert_eq!(config.idle_timeout, Some(Duration::from_secs(9)));
+        let load = parse_load(args(&["--connect", "x:1", "--deadline-s", "0.25"])).unwrap();
+        assert_eq!(load.deadline_s, 0.25);
     }
 }

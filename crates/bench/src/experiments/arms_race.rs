@@ -27,7 +27,7 @@
 
 use wrsn::core::attack::{evaluate_attack, CsaAttackPolicy};
 use wrsn::scenario::Scenario;
-use wrsn::sim::obs::{NullRecorder, Recorder, StatsRecorder};
+use wrsn::sim::obs::{NullRecorder, Recorder};
 use wrsn::sim::{AuditConfig, FaultConfig, FaultPlan};
 
 use crate::stats::mean_std;
@@ -152,31 +152,20 @@ pub fn run() -> Vec<Table> {
 }
 
 /// Runs the experiment, observing every campaign through `rec`. Cells fan
-/// out on the parallel harness; per-worker [`StatsRecorder`]s merge back in
-/// index order, so the artifact is byte-identical at any worker count.
+/// out on [`crate::parallel::map_indexed_observed`], which merges their
+/// records in index order, so the artifact is byte-identical at any worker
+/// count.
 pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
-    let observe = rec.enabled();
     let seeds = SEEDS as usize;
     let cells = PRESETS.len() * POLICIES.len() * INTENSITIES.len();
-    let pairs = crate::parallel::map_indexed(cells * seeds, |k| {
+    let trials = crate::parallel::map_indexed_observed(cells * seeds, rec, |k, rec| {
         let seed = (k % seeds) as u64;
         let cell = k / seeds;
         let intensity = INTENSITIES[cell % INTENSITIES.len()];
         let policy = POLICIES[(cell / INTENSITIES.len()) % POLICIES.len()];
         let preset = PRESETS[cell / (INTENSITIES.len() * POLICIES.len())];
-        let mut worker = StatsRecorder::new();
-        let mut null = NullRecorder;
-        let sink: &mut dyn Recorder = if observe { &mut worker } else { &mut null };
-        let trial = run_trial(preset, policy, intensity, seed, sink);
-        (trial, worker)
+        run_trial(preset, policy, intensity, seed, rec)
     });
-    let mut trials = Vec::with_capacity(pairs.len());
-    for (trial, worker) in pairs {
-        if observe {
-            worker.merge_into(rec);
-        }
-        trials.push(trial);
-    }
 
     let mut roc = Table::new(
         format!(

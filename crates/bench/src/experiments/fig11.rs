@@ -11,7 +11,7 @@ use wrsn::core::attack::CsaAttackPolicy;
 use wrsn::core::detect::{Detector, PostMortemAudit};
 use wrsn::net::NodeId;
 use wrsn::scenario::Scenario;
-use wrsn::sim::obs::{NullRecorder, Recorder, StatsRecorder};
+use wrsn::sim::obs::{NullRecorder, Recorder};
 use wrsn::sim::World;
 
 use crate::stats::mean_std;
@@ -56,33 +56,21 @@ pub fn run() -> Vec<Table> {
     run_with(&mut NullRecorder)
 }
 
-/// Runs the experiment, observing every run through `rec`. The parallel
-/// workers record into private [`StatsRecorder`]s that are merged back in
-/// index order, so the merged stream is independent of the worker count.
+/// Runs the experiment, observing every run through `rec`. The runs fan out
+/// on [`crate::parallel::map_indexed_observed`], which merges their records
+/// in index order, so the merged stream is independent of the worker count.
 pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
     // Every (condition, seed) simulation is independent — fan all of them
     // out at once; index order keeps the tables byte-identical.
-    let observe = rec.enabled();
     let seeds = SEEDS as usize;
-    let pairs = crate::parallel::map_indexed(3 * seeds, |k| {
+    let mut all = crate::parallel::map_indexed_observed(3 * seeds, rec, |k, rec| {
         let seed = (k % seeds) as u64;
-        let mut worker = StatsRecorder::new();
-        let mut null = NullRecorder;
-        let sink: &mut dyn Recorder = if observe { &mut worker } else { &mut null };
-        let run = match k / seeds {
-            0 => csa_run(seed, sink),
-            1 => honest_run(seed, false, sink),
-            _ => honest_run(seed, true, sink),
-        };
-        (run, worker)
-    });
-    let mut all = Vec::with_capacity(pairs.len());
-    for (run, worker) in pairs {
-        if observe {
-            worker.merge_into(rec);
+        match k / seeds {
+            0 => csa_run(seed, rec),
+            1 => honest_run(seed, false, rec),
+            _ => honest_run(seed, true, rec),
         }
-        all.push(run);
-    }
+    });
     let depot_runs: Vec<Run> = all.split_off(2 * seeds);
     let honest_runs: Vec<Run> = all.split_off(seeds);
     let csa_runs: Vec<Run> = all;

@@ -14,7 +14,7 @@ use wrsn::core::detect::{
 };
 use wrsn::net::NodeId;
 use wrsn::scenario::Scenario;
-use wrsn::sim::obs::{NullRecorder, Recorder, StatsRecorder};
+use wrsn::sim::obs::{NullRecorder, Recorder};
 use wrsn::sim::World;
 
 use crate::stats::mean_std;
@@ -78,8 +78,8 @@ pub fn run() -> Vec<Table> {
     run_with(&mut NullRecorder)
 }
 
-/// Runs the experiment, observing every run through `rec`. Parallel workers
-/// record into private [`StatsRecorder`]s merged back in index order.
+/// Runs the experiment, observing every run through `rec`; the runs' records
+/// merge in index order ([`crate::parallel::map_indexed_observed`]).
 pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
     let detectors: Vec<(&str, Box<dyn Detector>)> = vec![
         ("energy-report", Box::new(EnergyReportAudit::default())),
@@ -105,23 +105,9 @@ pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
     // them in the original order, so the table is unchanged.
     let labels = behaviours();
     let seeds = SEEDS as usize;
-    let observe = rec.enabled();
-    let pairs = crate::parallel::map_indexed(labels.len() * seeds, |k| {
-        let mut worker = StatsRecorder::new();
-        let mut null = NullRecorder;
-        let sink: &mut dyn Recorder = if observe { &mut worker } else { &mut null };
-        (
-            run_behaviour(labels[k / seeds], (k % seeds) as u64, sink),
-            worker,
-        )
+    let all = crate::parallel::map_indexed_observed(labels.len() * seeds, rec, |k, rec| {
+        run_behaviour(labels[k / seeds], (k % seeds) as u64, rec)
     });
-    let mut all: Vec<Run> = Vec::with_capacity(pairs.len());
-    for (run, worker) in pairs {
-        if observe {
-            worker.merge_into(rec);
-        }
-        all.push(run);
-    }
     for (bi, label) in labels.into_iter().enumerate() {
         let runs = &all[bi * seeds..(bi + 1) * seeds];
         let mut row = vec![label.to_string()];

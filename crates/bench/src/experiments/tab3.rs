@@ -10,7 +10,7 @@ use wrsn::core::csa::{self, CsaOptions};
 use wrsn::core::detect::{Detector, EnergyReportAudit};
 use wrsn::net::NodeId;
 use wrsn::scenario::Scenario;
-use wrsn::sim::obs::{NullRecorder, Recorder, StatsRecorder};
+use wrsn::sim::obs::{NullRecorder, Recorder};
 
 use crate::stats::mean_std;
 use crate::table::{f, Table};
@@ -59,16 +59,12 @@ fn planner_ablation(rec: &mut dyn Recorder) -> Table {
             "mean slack before death (s)",
         ],
     );
-    let observe = rec.enabled();
     for (label, opts) in variants {
         // One planner run per seed, fanned out; per-seed rows come back in
         // seed order, so the aggregated row is byte-identical.
-        let pairs = crate::parallel::map_indexed(PLANNER_SEEDS as usize, |k| {
-            let mut worker = StatsRecorder::new();
-            let mut null = NullRecorder;
-            let sink: &mut dyn Recorder = if observe { &mut worker } else { &mut null };
+        let rows = crate::parallel::map_indexed_observed(PLANNER_SEEDS as usize, rec, |k, rec| {
             let inst = crate::experiments::common::synthetic_instance(20, k as u64, 300.0, 800.0);
-            let plan = csa::plan_with_obs(&inst, opts, sink);
+            let plan = csa::plan_with_obs(&inst, opts, rec);
             debug_assert!(inst.validate(&plan).is_ok());
             // Slack = victim's residual life after the masquerade ends;
             // latest-start shifting exists to shrink this.
@@ -82,21 +78,11 @@ fn planner_ablation(rec: &mut dyn Recorder) -> Table {
                 })
                 .collect();
             (
-                (
-                    inst.utility(&plan),
-                    inst.energy_cost(&plan),
-                    mean_std(&slacks).0,
-                ),
-                worker,
+                inst.utility(&plan),
+                inst.energy_cost(&plan),
+                mean_std(&slacks).0,
             )
         });
-        let mut rows = Vec::with_capacity(pairs.len());
-        for (row, worker) in pairs {
-            if observe {
-                worker.merge_into(rec);
-            }
-            rows.push(row);
-        }
         let utility: Vec<f64> = rows.iter().map(|r| r.0).collect();
         let energy: Vec<f64> = rows.iter().map(|r| r.1).collect();
         let slack: Vec<f64> = rows.iter().map(|r| r.2).collect();
@@ -129,11 +115,7 @@ fn execution_ablation(rec: &mut dyn Recorder) -> Table {
     // Full (variant, seed) simulations are independent — run them all at
     // once and aggregate per variant afterwards, in the original order.
     let seeds = SEEDS as usize;
-    let observe = rec.enabled();
-    let pairs = crate::parallel::map_indexed(variants.len() * seeds, |k| {
-        let mut worker = StatsRecorder::new();
-        let mut null = NullRecorder;
-        let sink: &mut dyn Recorder = if observe { &mut worker } else { &mut null };
+    let all = crate::parallel::map_indexed_observed(variants.len() * seeds, rec, |k, rec| {
         let label = variants[k / seeds];
         let seed = (k % seeds) as u64;
         let scenario = Scenario::paper_scale(NODES, seed);
@@ -149,27 +131,17 @@ fn execution_ablation(rec: &mut dyn Recorder) -> Table {
             policy = policy.without_decoys();
         }
         let mut world = scenario.build();
-        world.run_with(&mut policy, sink).expect("run");
+        world.run_with(&mut policy, rec).expect("run");
         let outcome = evaluate_attack(&world, &policy);
         let victims: Vec<NodeId> = policy.targets().iter().map(|&(n, _)| n).collect();
         (
-            (
-                outcome.targeted as f64,
-                outcome.covered_exhausted_ratio,
-                EnergyReportAudit::default()
-                    .analyze(&world)
-                    .detection_ratio(&victims),
-            ),
-            worker,
+            outcome.targeted as f64,
+            outcome.covered_exhausted_ratio,
+            EnergyReportAudit::default()
+                .analyze(&world)
+                .detection_ratio(&victims),
         )
     });
-    let mut all = Vec::with_capacity(pairs.len());
-    for (row, worker) in pairs {
-        if observe {
-            worker.merge_into(rec);
-        }
-        all.push(row);
-    }
     for (vi, &label) in variants.iter().enumerate() {
         let rows = &all[vi * seeds..(vi + 1) * seeds];
         let targeted: Vec<f64> = rows.iter().map(|r| r.0).collect();
@@ -190,9 +162,9 @@ pub fn run() -> Vec<Table> {
     run_with(&mut NullRecorder)
 }
 
-/// Runs the experiment, observing planner and execution runs through `rec`.
-/// Parallel workers record into private [`StatsRecorder`]s merged back in
-/// index order.
+/// Runs the experiment, observing planner and execution runs through `rec`;
+/// their records merge in index order
+/// ([`crate::parallel::map_indexed_observed`]).
 pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
     vec![planner_ablation(rec), execution_ablation(rec)]
 }

@@ -21,6 +21,7 @@
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
+use wrsn::sim::cancel::budget_from_secs;
 use wrsn::sim::store;
 
 use crate::error::BenchError;
@@ -157,8 +158,10 @@ impl Manifest {
     ///
     /// # Errors
     ///
-    /// [`BenchError::Manifest`] when the file is missing, malformed, or has
-    /// an unsupported schema tag; [`BenchError::UnknownId`] when an entry
+    /// [`BenchError::Manifest`] when the file is missing, malformed, has an
+    /// unsupported schema tag, or a `timeout_s` that is not a positive
+    /// number of seconds a `Duration` can hold; [`BenchError::UnknownId`]
+    /// when an entry
     /// names an experiment this binary does not know.
     pub fn load(out_dir: &Path) -> Result<Self, BenchError> {
         let path = Manifest::path(out_dir);
@@ -181,6 +184,15 @@ impl Manifest {
                     "unsupported schema `{}` (this binary speaks `{SCHEMA}`)",
                     manifest.schema
                 ),
+            });
+        }
+        if let Some(s) = manifest
+            .timeout_s
+            .filter(|&s| budget_from_secs(s).is_none())
+        {
+            return Err(BenchError::Manifest {
+                path,
+                detail: format!("timeout_s must be positive and below 1.8e19 s, got {s}"),
             });
         }
         for entry in &manifest.entries {
@@ -325,6 +337,13 @@ mod tests {
         m.save(&dir).expect("save");
         let err = Manifest::load(&dir).unwrap_err();
         assert!(matches!(err, BenchError::UnknownId { .. }), "{err}");
+
+        // A deadline no `Duration` can hold would panic the resumed run.
+        let m = Manifest::new("run-1".to_string(), &["fig2"], 1, false, Some(1e20));
+        m.save(&dir).expect("save");
+        let err = Manifest::load(&dir).unwrap_err();
+        assert!(matches!(err, BenchError::Manifest { .. }), "{err}");
+        assert!(err.to_string().contains("timeout_s"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

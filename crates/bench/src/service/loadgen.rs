@@ -41,6 +41,7 @@ use std::time::{Duration, Instant};
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use wrsn::sim::cancel::budget_from_secs;
 use wrsn::sim::store;
 
 use super::request::{self, DeploymentKind, ParsedResponse, Payload, ScenarioSpec};
@@ -506,12 +507,13 @@ fn drive_connection(
     let mut last_activity = Instant::now();
     let mut stall_reconnects = 0u32;
     // Hard ceiling: the work deadline plus generous slack for retries. A run
-    // that cannot finish by then reports the stragglers instead of hanging.
-    let give_up_at = Instant::now()
-        + Duration::from_secs_f64(deadline_s.max(1.0) * f64::from(max_attempts) + 60.0);
+    // that cannot finish by then reports the stragglers instead of hanging;
+    // a ceiling past the clock's range is none.
+    let give_up_at = budget_from_secs(deadline_s.max(1.0) * f64::from(max_attempts) + 60.0)
+        .and_then(|ceiling| Instant::now().checked_add(ceiling));
 
     while open > 0 {
-        if Instant::now() > give_up_at {
+        if give_up_at.is_some_and(|at| Instant::now() > at) {
             for t in tracked.values() {
                 if !is_done(t) {
                     outcome

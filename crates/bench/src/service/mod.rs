@@ -8,7 +8,7 @@
 //!
 //! - a bounded worker pool with per-request wall-clock **deadlines**,
 //!   enforced through the engine's cooperative cancellation
-//!   ([`wrsn::sim::cancel`]) by a watchdog thread;
+//!   ([`wrsn::sim::cancel`]) by the process-wide watchdog;
 //! - **dedupe by content digest**: requests are canonicalised and FNV-hashed;
 //!   a digest seen before is replayed byte-identically from the
 //!   content-addressed artifact store, and concurrent duplicates coalesce

@@ -29,9 +29,12 @@
 //! fields in fixed order) — the cache key two textually different but
 //! semantically identical requests share.
 
+use std::time::Duration;
+
 use serde::{Serialize, Value};
 use wrsn::core::attack::{evaluate_attack, CsaAttackPolicy};
 use wrsn::scenario::{Deployment, Scenario};
+use wrsn::sim::cancel::budget_from_secs;
 use wrsn::sim::obs::{self, NullRecorder, TraceRecord, SCHEMA_VERSION};
 use wrsn::sim::store;
 use wrsn::sim::trace::Trace;
@@ -228,9 +231,9 @@ impl ControlOp {
 pub struct Request {
     /// Client correlation id (`r<seq>` when the request omitted one).
     pub id: String,
-    /// Per-request wall-clock deadline, seconds (overrides the server
-    /// default when present).
-    pub deadline_s: Option<f64>,
+    /// Per-request wall-clock deadline, from the line's `deadline_s` seconds
+    /// (overrides the server default when present).
+    pub deadline: Option<Duration>,
     /// Whether the client opted into incremental `progress` frames
     /// (`{"stream":true}`, scenario requests only). Streaming is an envelope
     /// concern: it never enters the payload's canonical form, so streamed and
@@ -334,17 +337,45 @@ fn parse_scenario(value: &Value) -> Result<ScenarioSpec, String> {
     })
 }
 
+/// A request line that did not parse, answered with an `error` response.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rejected {
+    /// The line's own `id` when it had a readable one, else `r<seq>`, so a
+    /// pipelining client can tell which of its requests failed.
+    pub id: String,
+    /// Why, ready to embed in the error response.
+    pub detail: String,
+}
+
 /// Parses one request line. `seq` numbers the line within its connection and
-/// names anonymous requests `r<seq>`. The error string is ready to embed in
-/// an error response.
-pub fn parse_line(line: &str, seq: u64) -> Result<Request, String> {
-    let value: Value =
-        serde_json::from_str(line).map_err(|e| format!("malformed request JSON: {e}"))?;
-    let map = value
-        .as_map()
-        .ok_or_else(|| format!("request must be a JSON object, got {}", value.kind()))?;
-    let mut id = None;
-    let mut deadline_s = None;
+/// names anonymous requests `r<seq>`.
+///
+/// # Errors
+///
+/// [`Rejected`] for a line that is not a valid request.
+pub fn parse_line(line: &str, seq: u64) -> Result<Request, Rejected> {
+    let anonymous = |detail| Rejected {
+        id: format!("r{seq}"),
+        detail,
+    };
+    let value: Value = serde_json::from_str(line)
+        .map_err(|e| anonymous(format!("malformed request JSON: {e}")))?;
+    let map = value.as_map().ok_or_else(|| {
+        anonymous(format!(
+            "request must be a JSON object, got {}",
+            value.kind()
+        ))
+    })?;
+    let id = match map.iter().find(|(key, _)| key == "id") {
+        Some((_, val)) => field_str(val, "id").map_err(anonymous)?,
+        None => format!("r{seq}"),
+    };
+    parse_fields(map, id.clone()).map_err(|detail| Rejected { id, detail })
+}
+
+/// The fields of a request object whose `id` is already known.
+fn parse_fields(map: &[(String, Value)], id: String) -> Result<Request, String> {
+    let mut deadline = None;
     let mut op = None;
     let mut exp = None;
     let mut scenario = None;
@@ -352,15 +383,15 @@ pub fn parse_line(line: &str, seq: u64) -> Result<Request, String> {
     let mut detector = None;
     for (key, val) in map {
         match key.as_str() {
-            "id" => id = Some(field_str(val, "id")?),
+            "id" => {}
             "deadline_s" => {
                 let d = field_f64(val, "deadline_s")?;
-                if !d.is_finite() || d <= 0.0 {
-                    return Err(format!(
-                        "`deadline_s` must be a positive number of seconds, got {d}"
-                    ));
-                }
-                deadline_s = Some(d);
+                deadline = Some(budget_from_secs(d).ok_or_else(|| {
+                    format!(
+                        "`deadline_s` must be a positive number of seconds below 1.8e19, \
+                         got {d}"
+                    )
+                })?);
             }
             "op" => op = Some(field_str(val, "op")?),
             "exp" => exp = Some(field_str(val, "exp")?),
@@ -378,7 +409,6 @@ pub fn parse_line(line: &str, seq: u64) -> Result<Request, String> {
             other => return Err(format!("unknown request field `{other}`")),
         }
     }
-    let id = id.unwrap_or_else(|| format!("r{seq}"));
     let kind = match (op, exp, scenario) {
         (Some(op), None, None) => {
             let op = match op.as_str() {
@@ -417,7 +447,7 @@ pub fn parse_line(line: &str, seq: u64) -> Result<Request, String> {
     }
     Ok(Request {
         id,
-        deadline_s,
+        deadline,
         stream,
         detector,
         kind,
@@ -648,56 +678,49 @@ fn scenario_result_value(
     report: &wrsn::sim::SimReport,
     outcome: &wrsn::core::attack::AttackOutcome,
 ) -> Value {
-    let lifetime = match report.network_lifetime_s {
-        Some(t) => Value::F64(t),
-        None => Value::Null,
+    let report = ReportFields {
+        final_time_s: report.final_time_s,
+        dead_nodes: report.dead_nodes,
+        alive_nodes: report.alive_nodes,
+        network_lifetime_s: report.network_lifetime_s,
+        charger_energy_used_j: report.charger_energy_used_j,
+        total_delivered_j: report.total_delivered_j,
+        sessions: report.sessions,
+    };
+    let attack = AttackFields {
+        targeted: outcome.targeted,
+        exhausted: outcome.exhausted,
+        utility: outcome.utility,
+        exhausted_ratio: outcome.exhausted_ratio,
+        key_node_exhausted_ratio: outcome.key_node_exhausted_ratio,
     };
     Value::Map(vec![
         ("scenario".to_string(), spec.to_value()),
-        (
-            "report".to_string(),
-            Value::Map(vec![
-                ("final_time_s".to_string(), Value::F64(report.final_time_s)),
-                (
-                    "dead_nodes".to_string(),
-                    Value::U64(report.dead_nodes as u64),
-                ),
-                (
-                    "alive_nodes".to_string(),
-                    Value::U64(report.alive_nodes as u64),
-                ),
-                ("network_lifetime_s".to_string(), lifetime),
-                (
-                    "charger_energy_used_j".to_string(),
-                    Value::F64(report.charger_energy_used_j),
-                ),
-                (
-                    "total_delivered_j".to_string(),
-                    Value::F64(report.total_delivered_j),
-                ),
-                ("sessions".to_string(), Value::U64(report.sessions as u64)),
-            ]),
-        ),
-        (
-            "attack".to_string(),
-            Value::Map(vec![
-                ("targeted".to_string(), Value::U64(outcome.targeted as u64)),
-                (
-                    "exhausted".to_string(),
-                    Value::U64(outcome.exhausted as u64),
-                ),
-                ("utility".to_string(), Value::F64(outcome.utility)),
-                (
-                    "exhausted_ratio".to_string(),
-                    Value::F64(outcome.exhausted_ratio),
-                ),
-                (
-                    "key_node_exhausted_ratio".to_string(),
-                    Value::F64(outcome.key_node_exhausted_ratio),
-                ),
-            ]),
-        ),
+        ("report".to_string(), report.to_value()),
+        ("attack".to_string(), attack.to_value()),
     ])
+}
+
+/// The `report` object of a scenario `result`, fields in wire order.
+#[derive(Serialize)]
+struct ReportFields {
+    final_time_s: f64,
+    dead_nodes: usize,
+    alive_nodes: usize,
+    network_lifetime_s: Option<f64>,
+    charger_energy_used_j: f64,
+    total_delivered_j: f64,
+    sessions: usize,
+}
+
+/// The `attack` object of a scenario `result`, fields in wire order.
+#[derive(Serialize)]
+struct AttackFields {
+    targeted: usize,
+    exhausted: usize,
+    utility: f64,
+    exhausted_ratio: f64,
+    key_node_exhausted_ratio: f64,
 }
 
 /// A cursor over a live [`Trace`]: each [`StreamCursor::drain`] call converts
@@ -971,7 +994,7 @@ mod tests {
         };
         assert_eq!(pa.digest(), pb.digest());
         assert_eq!(b.id, "r1", "anonymous requests are named by sequence");
-        assert_eq!(b.deadline_s, Some(5.0));
+        assert_eq!(b.deadline, Some(Duration::from_secs(5)));
     }
 
     #[test]
@@ -1007,11 +1030,24 @@ mod tests {
             (r#"{"exp":"fig2","op":"ping"}"#, "mutually exclusive"),
             (r#"{"id":"x"}"#, "exactly one of"),
             (r#"{"exp":"fig2","deadline_s":0}"#, "deadline_s"),
+            (r#"{"exp":"fig2","deadline_s":1e20}"#, "deadline_s"),
             (r#"{"exp":"fig2","nope":1}"#, "unknown request field"),
         ] {
-            let err = parse_line(line, 0).unwrap_err();
+            let err = parse_line(line, 0).unwrap_err().detail;
             assert!(err.contains(needle), "line {line}: error `{err}`");
         }
+    }
+
+    #[test]
+    fn a_rejected_line_keeps_its_readable_id() {
+        let late = parse_line(r#"{"deadline_s":1e20,"exp":"fig2","id":"h"}"#, 4).unwrap_err();
+        assert_eq!(late.id, "h", "the id is read before any other field");
+        assert!(late.detail.contains("deadline_s"), "{}", late.detail);
+        assert_eq!(parse_line("not json", 4).unwrap_err().id, "r4");
+        assert_eq!(
+            parse_line(r#"{"id":7,"op":"ping"}"#, 5).unwrap_err().id,
+            "r5"
+        );
     }
 
     #[test]
@@ -1103,7 +1139,7 @@ mod tests {
         };
         assert_eq!(pa.digest(), pb.digest(), "stream never enters the digest");
         let err = parse_line(r#"{"exp":"fig2","stream":true}"#, 2).unwrap_err();
-        assert!(err.contains("only supported for scenario"));
+        assert!(err.detail.contains("only supported for scenario"));
     }
 
     #[test]
@@ -1121,9 +1157,9 @@ mod tests {
         };
         assert_eq!(pa.digest(), pb.digest(), "detector never enters the digest");
         let err = parse_line(r#"{"exp":"fig2","detector":"default"}"#, 2).unwrap_err();
-        assert!(err.contains("only supported for scenario"));
+        assert!(err.detail.contains("only supported for scenario"));
         let err = parse_line(r#"{"scenario":{"nodes":40},"detector":"psychic"}"#, 3).unwrap_err();
-        assert!(err.contains("unknown detector preset"));
+        assert!(err.detail.contains("unknown detector preset"));
     }
 
     #[test]
@@ -1175,6 +1211,43 @@ mod tests {
         // Without a detector there is no summary.
         let (_, none) = execute_with(&payload, None, None).expect("runs");
         assert!(none.is_none());
+    }
+
+    #[test]
+    fn scenario_result_bytes_are_pinned() {
+        // The scenario `result` is wire schema and the cached bytes every
+        // hit replays: field names, order and float formatting (`null`
+        // lifetime, `-0`) are pinned for a campaign that kills a key node
+        // and for one where nothing dies.
+        let corridor = Payload::Scenario(ScenarioSpec {
+            nodes: 24,
+            seed: 7,
+            horizon_s: 400_000.0,
+            deployment: DeploymentKind::Corridor,
+        });
+        assert_eq!(
+            execute(&corridor).expect("runs"),
+            "{\"scenario\":{\"nodes\":24,\"seed\":7,\"horizon_s\":400000,\"deployment\":\"corridor\"},\
+             \"report\":{\"final_time_s\":400000,\"dead_nodes\":1,\"alive_nodes\":23,\
+             \"network_lifetime_s\":0,\"charger_energy_used_j\":55528.655896585355,\
+             \"total_delivered_j\":800.3709855940833,\"sessions\":9},\
+             \"attack\":{\"targeted\":1,\"exhausted\":1,\"utility\":1.7719298245614035,\
+             \"exhausted_ratio\":1,\"key_node_exhausted_ratio\":0.25}}"
+        );
+        let quiet = Payload::Scenario(ScenarioSpec {
+            nodes: 24,
+            seed: 7,
+            horizon_s: 20_000.0,
+            deployment: DeploymentKind::Uniform,
+        });
+        assert_eq!(
+            execute(&quiet).expect("runs"),
+            "{\"scenario\":{\"nodes\":24,\"seed\":7,\"horizon_s\":20000,\"deployment\":\"uniform\"},\
+             \"report\":{\"final_time_s\":20000,\"dead_nodes\":0,\"alive_nodes\":24,\
+             \"network_lifetime_s\":null,\"charger_energy_used_j\":0,\"total_delivered_j\":-0,\
+             \"sessions\":0},\"attack\":{\"targeted\":0,\"exhausted\":0,\"utility\":-0,\
+             \"exhausted_ratio\":1,\"key_node_exhausted_ratio\":0}}"
+        );
     }
 
     #[test]

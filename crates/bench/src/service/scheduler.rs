@@ -13,17 +13,15 @@
 //!    request parks as a *follower* and is answered from the leader's bytes
 //!    (`"cache":"coalesced"`) — identical work is never computed twice
 //!    concurrently.
-//! 5. Otherwise this request leads: the worker installs a fresh
-//!    [`CancelToken`] (via [`ScopedCancel`], so the engine's segment-boundary
-//!    polls see it), registers a watchdog slot, and runs the payload under
-//!    [`std::panic::catch_unwind`].
+//! 5. Otherwise this request leads: the worker runs the payload through
+//!    [`cancel::supervise`] with the job's remaining time as its budget.
 //!
-//! A monitor thread sweeps the slots every few milliseconds and cancels the
-//! token of any run past its deadline; the engine unwinds with
-//! `SimError::Cancelled` at the next poll and the worker reports `timeout`.
-//! A panicked payload poisons nothing: the guard's id-keyed drop removes
-//! exactly its token (see `wrsn::sim::cancel`), the worker thread survives
-//! and takes the next job — pinned by the panic-then-reuse tests below.
+//! The process-wide watchdog (the one the `exp` runner uses; an idle daemon
+//! has no thread waking for it) cancels the run's token at the deadline; the
+//! engine unwinds with `SimError::Cancelled` at the next poll and the worker
+//! reports `timeout`. A panicked payload poisons nothing: the token's
+//! id-keyed guard removes exactly its entry, the worker thread survives and
+//! takes the next job — pinned by the panic-then-reuse tests below.
 //!
 //! **Admission is bounded**: the queue holds at most `queue_cap` jobs.
 //! Step 1 above can therefore fail — a submission against a full queue is
@@ -43,22 +41,18 @@
 //! answered from the leader's (or cached) final bytes only.
 
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use serde::Value;
-use wrsn::sim::cancel::{CancelToken, ScopedCancel};
+use wrsn::sim::cancel::{self, Supervised};
 use wrsn::sim::obs::{Counter, TraceRecord};
 
 use super::cache::{CacheLookup, ResultCache};
 use super::request::{self, AuditSummary, ExecError, Payload};
-
-/// How often the watchdog sweeps the in-flight slots.
-const WATCHDOG_PERIOD: Duration = Duration::from_millis(3);
 
 /// Bounds of the `retry_after_ms` backoff hint sent with shed responses.
 const RETRY_AFTER_MIN_MS: u64 = 25;
@@ -262,13 +256,6 @@ impl Job {
     }
 }
 
-/// One worker's watchdog slot: what it is running and for how long it may.
-struct WatchSlot {
-    started: Instant,
-    budget: Duration,
-    token: CancelToken,
-}
-
 struct QueueState {
     jobs: VecDeque<Job>,
     closed: bool,
@@ -280,14 +267,12 @@ struct Inner {
     cache: ResultCache,
     /// digest → followers parked behind the leader computing that digest.
     inflight: Mutex<HashMap<String, Vec<Job>>>,
-    slots: Vec<Mutex<Option<WatchSlot>>>,
     counters: ServiceCounters,
     default_deadline: Duration,
     /// Admission bound: fresh submissions against a queue this deep are shed.
     queue_cap: usize,
     /// Pool size (scales the `retry_after_ms` hint).
     workers: usize,
-    stopping: AtomicBool,
 }
 
 /// The worker pool. Dropping without [`Scheduler::shutdown`] aborts the
@@ -295,13 +280,11 @@ struct Inner {
 pub struct Scheduler {
     inner: Arc<Inner>,
     workers: Vec<thread::JoinHandle<()>>,
-    watchdog: Option<thread::JoinHandle<()>>,
 }
 
 impl Scheduler {
-    /// Spawns `workers` pooled threads plus the deadline watchdog. Fresh
-    /// submissions beyond `queue_cap` waiting jobs are shed with a typed
-    /// `overloaded` response.
+    /// Spawns `workers` pooled threads. Fresh submissions beyond `queue_cap`
+    /// waiting jobs are shed with a typed `overloaded` response.
     pub fn new(
         cache: ResultCache,
         workers: usize,
@@ -317,33 +300,23 @@ impl Scheduler {
             available: Condvar::new(),
             cache,
             inflight: Mutex::new(HashMap::new()),
-            slots: (0..workers).map(|_| Mutex::new(None)).collect(),
             counters: ServiceCounters::default(),
             default_deadline,
             queue_cap: queue_cap.max(1),
             workers,
-            stopping: AtomicBool::new(false),
         });
         let handles = (0..workers)
-            .map(|slot| {
+            .map(|k| {
                 let inner = Arc::clone(&inner);
                 thread::Builder::new()
-                    .name(format!("wrsnd-worker-{slot}"))
-                    .spawn(move || worker_loop(&inner, slot))
+                    .name(format!("wrsnd-worker-{k}"))
+                    .spawn(move || worker_loop(&inner))
                     .expect("spawn worker thread")
             })
             .collect();
-        let watchdog = {
-            let inner = Arc::clone(&inner);
-            thread::Builder::new()
-                .name("wrsnd-watchdog".to_string())
-                .spawn(move || watchdog_loop(&inner))
-                .expect("spawn watchdog thread")
-        };
         Scheduler {
             inner,
             workers: handles,
-            watchdog: Some(watchdog),
         }
     }
 
@@ -443,10 +416,6 @@ impl Scheduler {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        self.inner.stopping.store(true, Ordering::Release);
-        if let Some(watchdog) = self.watchdog.take() {
-            let _ = watchdog.join();
-        }
     }
 }
 
@@ -461,20 +430,6 @@ fn next_job(inner: &Inner) -> Option<Job> {
             return None;
         }
         queue = inner.available.wait(queue).expect("queue wait");
-    }
-}
-
-fn watchdog_loop(inner: &Inner) {
-    while !inner.stopping.load(Ordering::Acquire) {
-        for slot in &inner.slots {
-            let slot = slot.lock().expect("slot lock");
-            if let Some(watch) = slot.as_ref() {
-                if watch.started.elapsed() > watch.budget {
-                    watch.token.cancel();
-                }
-            }
-        }
-        thread::sleep(WATCHDOG_PERIOD);
     }
 }
 
@@ -498,7 +453,7 @@ enum Outcome {
     Disconnected,
 }
 
-fn worker_loop(inner: &Inner, slot: usize) {
+fn worker_loop(inner: &Inner) {
     while let Some(job) = next_job(inner) {
         // Deadline may already have passed while queued.
         let Some(budget) = job.remaining() else {
@@ -541,16 +496,11 @@ fn worker_loop(inner: &Inner, slot: usize) {
             }
             inflight.insert(job.digest.clone(), Vec::new());
         }
-        // This job leads. Arm the watchdog slot and run under a fresh token.
-        let token = CancelToken::new();
-        *inner.slots[slot].lock().expect("slot lock") = Some(WatchSlot {
-            started: Instant::now(),
-            budget,
-            token: token.clone(),
-        });
+        // This job leads: it runs under a fresh token that the watchdog fires
+        // once the job's remaining budget is spent.
         let disconnected = std::cell::Cell::new(false);
-        let run = {
-            let _guard = ScopedCancel::install(token.clone());
+        let run = cancel::supervise(Some(budget), || {
+            let token = cancel::current().expect("a budgeted run has a token");
             // A streaming leader forwards each drained record batch as a
             // `progress` frame. A failed send means the connection writer
             // (and with it the client) is gone — cancel our own token so the
@@ -573,23 +523,16 @@ fn worker_loop(inner: &Inner, slot: usize) {
             };
             let sink: Option<&mut dyn FnMut(f64, Vec<TraceRecord>) -> bool> =
                 if job.stream { Some(&mut frames) } else { None };
-            catch_unwind(AssertUnwindSafe(|| {
-                request::execute_with(&job.payload, job.detector.as_deref(), sink)
-            }))
-        };
-        *inner.slots[slot].lock().expect("slot lock") = None;
+            request::execute_with(&job.payload, job.detector.as_deref(), sink)
+        });
         let outcome = match run {
             _ if disconnected.get() => Outcome::Disconnected,
-            Ok(Ok((result, audit))) => Outcome::Ok(result, audit),
-            Ok(Err(ExecError::Cancelled)) => Outcome::Timeout,
-            Ok(Err(ExecError::Failed(detail))) => Outcome::Error(detail),
-            // A panic out of a cancelled run is the engine unwinding past a
-            // poll point under load — a timeout, not a bug in the payload.
-            Err(_) if token.is_cancelled() => Outcome::Timeout,
-            Err(payload) => Outcome::Error(format!(
-                "worker panicked: {}",
-                panic_message(payload.as_ref())
-            )),
+            Supervised::Value(Ok((result, audit))) => Outcome::Ok(result, audit),
+            // The supervisor reports a panic out of a cancelled run (the
+            // engine unwinding past a poll point under load) as a timeout.
+            Supervised::Value(Err(ExecError::Cancelled)) | Supervised::Timeout => Outcome::Timeout,
+            Supervised::Value(Err(ExecError::Failed(detail))) => Outcome::Error(detail),
+            Supervised::Panic(message) => Outcome::Error(format!("worker panicked: {message}")),
         };
         // Persist before taking the followers, so a request that misses the
         // follower window finds the cache entry instead of recomputing.
@@ -689,16 +632,6 @@ fn requeue(inner: &Inner, followers: Vec<Job>) {
     drop(queue);
     for _ in 0..n {
         inner.available.notify_one();
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

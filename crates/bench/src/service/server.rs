@@ -402,9 +402,12 @@ fn read_loop<R: BufRead>(
         }
         let request = match request::parse_line(trimmed, seq) {
             Ok(request) => request,
-            Err(detail) => {
+            Err(rejected) => {
                 inflight.fetch_add(1, Ordering::AcqRel);
-                let _ = reply.send(Reply::fin(request::error_line(&format!("r{seq}"), &detail)));
+                let _ = reply.send(Reply::fin(request::error_line(
+                    &rejected.id,
+                    &rejected.detail,
+                )));
                 seq += 1;
                 continue;
             }
@@ -433,11 +436,10 @@ fn read_loop<R: BufRead>(
             }
             RequestKind::Work(payload) => {
                 let accepted = control.accepted.fetch_add(1, Ordering::Relaxed) + 1;
-                let deadline = request.deadline_s.map(Duration::from_secs_f64);
                 scheduler.submit(
                     request.id,
                     payload,
-                    deadline,
+                    request.deadline,
                     request.stream,
                     request.detector,
                     reply.clone(),
@@ -455,6 +457,11 @@ fn read_loop<R: BufRead>(
 }
 
 fn serve_stdio(config: &ServeConfig, scheduler: &Arc<Scheduler>, control: &Arc<Control>) {
+    // The banner goes out before the writer thread exists: that thread holds
+    // the stdout lock for its whole life, so a later `println!` here could
+    // block forever behind it.
+    println!("wrsnd listening on stdin");
+    std::io::stdout().flush().ok();
     let inflight = Arc::new(AtomicU64::new(0));
     let (tx, rx) = mpsc::channel::<Reply>();
     let writer = {
@@ -476,8 +483,6 @@ fn serve_stdio(config: &ServeConfig, scheduler: &Arc<Scheduler>, control: &Arc<C
             })
             .expect("spawn stdout writer")
     };
-    println!("wrsnd listening on stdin");
-    std::io::stdout().flush().ok();
     let stdin = std::io::stdin();
     read_loop(stdin.lock(), &tx, &inflight, config, scheduler, control);
     drop(tx);

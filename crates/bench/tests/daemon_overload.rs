@@ -372,6 +372,31 @@ fn an_oversized_request_line_is_rejected_typed_and_the_connection_closed() {
 }
 
 #[test]
+fn a_deadline_beyond_a_duration_is_a_typed_error_on_a_live_connection() {
+    // `deadline_s` above ~1.8e19 s fits an f64 but no `Duration`: the
+    // request is rejected as an error line and the connection keeps serving.
+    let store = temp_dir("huge-deadline");
+    let mut daemon = Daemon::spawn(&store, 1, &[], &[]);
+    let mut conn = daemon.connect();
+    conn.stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set read timeout");
+    let rejected = conn.request(r#"{"id":"h","exp":"fig2","deadline_s":1e20}"#);
+    assert_eq!(rejected.status, "error");
+    assert_eq!(rejected.id, "h", "the error answers the line's own id");
+    let error = rejected.error.unwrap_or_default();
+    assert!(
+        error.contains("deadline_s"),
+        "error names the field: {error}"
+    );
+    let pong = conn.request(r#"{"op":"ping"}"#);
+    assert_eq!(pong.status, "ok");
+    drop(conn);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
 fn idle_connections_are_reaped_but_waiting_clients_are_not() {
     let store = temp_dir("idle");
     let mut daemon = Daemon::spawn(&store, 1, &["--idle-timeout-s", "0.3"], &[]);

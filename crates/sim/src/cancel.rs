@@ -1,11 +1,20 @@
-//! Cooperative cancellation for supervised runs.
+//! Cooperative cancellation and the one supervisor for work items.
 //!
-//! A [`CancelToken`] is a shared atomic flag. The watchdog in
-//! [`crate::parallel`] cancels a work item's token when it blows its
-//! wall-clock deadline; [`crate::World::advance_by`] and the run loop poll the
-//! thread's *current* token between integration segments and return
-//! [`crate::SimError::Cancelled`], so a hung experiment unwinds at the next
-//! segment boundary instead of blocking the whole campaign forever.
+//! A [`CancelToken`] is a shared atomic flag. [`crate::World::advance_by`]
+//! and the run loop poll the thread's *current* token between integration
+//! segments and return [`crate::SimError::Cancelled`], so a hung run unwinds
+//! at the next segment boundary instead of blocking its caller forever.
+//!
+//! [`supervise`] runs one work item for both harnesses (the `exp` runner
+//! through [`crate::parallel`], the daemon's workers directly): under a fresh
+//! token with a wall-clock budget, the unwind caught, the end classified as
+//! a value, a timeout (a panic after the token fired counts as one) or a
+//! panic. Budgets are served by one process-wide **watchdog** thread,
+//! started on first use, that sleeps on a condvar until the earliest
+//! registered deadline: no polling period, so an idle process has no thread
+//! waking for it. A deadline beyond [`Instant`]'s range never fires, and
+//! [`budget_from_secs`] turns outside seconds into a budget without the
+//! panic of [`Duration::from_secs_f64`].
 //!
 //! The current token is thread-local, installed with a [`ScopedCancel`] RAII
 //! guard. [`crate::parallel`] propagates the spawning thread's token into its
@@ -31,8 +40,11 @@
 //! segment, which bounds the reaction latency to one segment of work.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, Once};
+use std::time::{Duration, Instant};
 
 /// A shared cancellation flag. Cloning yields another handle to the *same*
 /// flag; once cancelled, a token stays cancelled.
@@ -65,9 +77,9 @@ thread_local! {
     static STACK: RefCell<Vec<(u64, CancelToken)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Process-wide guard id source (never reused, so an id identifies one
-/// install across every thread).
-static NEXT_GUARD_ID: AtomicU64 = AtomicU64::new(1);
+/// Process-wide id source for guards and watchdog entries (never reused, so
+/// an id identifies one install across every thread).
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// The token currently installed on this thread (the innermost live
 /// [`ScopedCancel`]), if any.
@@ -103,7 +115,7 @@ pub struct ScopedCancel {
 impl ScopedCancel {
     /// Installs `token` as the thread's current token until the guard drops.
     pub fn install(token: CancelToken) -> Self {
-        let id = NEXT_GUARD_ID.fetch_add(1, Ordering::Relaxed);
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         STACK.with(|stack| stack.borrow_mut().push((id, token)));
         ScopedCancel { id }
     }
@@ -117,6 +129,121 @@ impl Drop for ScopedCancel {
                 stack.remove(pos);
             }
         });
+    }
+}
+
+/// A wall-clock budget of `secs` seconds, for a value from outside the
+/// program: `None` unless it is positive, finite and small enough for a
+/// [`Duration`] (below about 1.8e19 s).
+pub fn budget_from_secs(secs: f64) -> Option<Duration> {
+    if secs > 0.0 {
+        Duration::try_from_secs_f64(secs).ok()
+    } else {
+        None
+    }
+}
+
+/// The registry the watchdog thread serves, keyed by deadline and then by a
+/// unique id so equal deadlines stay distinct entries.
+static WATCHDOG: Mutex<BTreeMap<(Instant, u64), CancelToken>> = Mutex::new(BTreeMap::new());
+/// Signalled when an entry becomes the earliest deadline.
+static REARM: Condvar = Condvar::new();
+/// Spawns the watchdog thread on the first registration.
+static START: Once = Once::new();
+
+/// Cancels each registered token at its deadline. Runs forever on its own
+/// thread, asleep until the earliest deadline (or indefinitely when nothing
+/// is registered).
+fn watchdog_thread() {
+    let mut entries = WATCHDOG.lock().expect("watchdog lock");
+    loop {
+        let now = Instant::now();
+        while let Some(entry) = entries.first_entry() {
+            if entry.key().0 > now {
+                break;
+            }
+            entry.remove().cancel();
+        }
+        entries = match entries.keys().next() {
+            Some(&(due, _)) => {
+                REARM
+                    .wait_timeout(entries, due - now)
+                    .expect("watchdog lock")
+                    .0
+            }
+            None => REARM.wait(entries).expect("watchdog lock"),
+        };
+    }
+}
+
+/// A deadline registered with the watchdog; dropping it deregisters.
+struct Watch((Instant, u64));
+
+/// Registers `token` to be cancelled once `budget` has elapsed from now;
+/// `None` (never fires) for a deadline past the end of [`Instant`]'s range.
+fn watch(budget: Duration, token: &CancelToken) -> Option<Watch> {
+    let due = Instant::now().checked_add(budget)?;
+    START.call_once(|| {
+        std::thread::Builder::new()
+            .name("wrsn-watchdog".to_string())
+            .spawn(watchdog_thread)
+            .expect("spawn the watchdog thread");
+    });
+    let key = (due, NEXT_ID.fetch_add(1, Ordering::Relaxed));
+    let mut entries = WATCHDOG.lock().expect("watchdog lock");
+    let earliest = entries.keys().next().is_none_or(|first| key < *first);
+    entries.insert(key, token.clone());
+    drop(entries);
+    if earliest {
+        REARM.notify_one();
+    }
+    Some(Watch(key))
+}
+
+impl Drop for Watch {
+    fn drop(&mut self) {
+        WATCHDOG.lock().expect("watchdog lock").remove(&self.0);
+    }
+}
+
+/// How a [`supervise`]d call ended.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Supervised<T> {
+    /// The call returned, even if its deadline passed as it did.
+    Value(T),
+    /// The call unwound after the watchdog cancelled its token.
+    Timeout,
+    /// The call panicked; the payload as text (`&str`/`String` payloads
+    /// verbatim, anything else as a placeholder).
+    Panic(String),
+}
+
+/// Runs `f` as one supervised work item. With a `budget`, `f` runs under a
+/// fresh token installed as the thread's current one and registered with the
+/// watchdog for that long; without one it runs under whatever token is
+/// already current. The unwind of a panic is caught, so the calling thread
+/// survives to take the next item.
+pub fn supervise<T>(budget: Option<Duration>, f: impl FnOnce() -> T) -> Supervised<T> {
+    let token = budget.map(|_| CancelToken::new());
+    let scope = budget
+        .zip(token.clone())
+        .map(|(budget, token)| (watch(budget, &token), ScopedCancel::install(token)));
+    let result = catch_unwind(AssertUnwindSafe(f));
+    drop(scope);
+    match result {
+        Ok(value) => Supervised::Value(value),
+        Err(_) if token.is_some_and(|token| token.is_cancelled()) => Supervised::Timeout,
+        Err(payload) => Supervised::Panic(panic_message(payload.as_ref())),
+    }
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -199,6 +326,94 @@ mod tests {
             current().is_some(),
             "the enclosing scope's token is still installed"
         );
+    }
+
+    /// Waits up to `limit` for `token` to fire; the time it took, if it did.
+    fn fired_within(token: &CancelToken, limit: Duration) -> Option<Duration> {
+        let start = Instant::now();
+        while start.elapsed() < limit {
+            if token.is_cancelled() {
+                return Some(start.elapsed());
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        None
+    }
+
+    #[test]
+    fn an_earlier_deadline_fires_first() {
+        // The watchdog sleeps until its earliest deadline: a 50-ms entry
+        // registered after a 5-s one must re-arm it, not wait behind it.
+        let slow = CancelToken::new();
+        let fast = CancelToken::new();
+        let _slow_watch = watch(Duration::from_secs(5), &slow);
+        let _fast_watch = watch(Duration::from_millis(50), &fast);
+        let took = fired_within(&fast, Duration::from_secs(2))
+            .expect("the 50-ms token fires well before the 5-s one");
+        assert!(took >= Duration::from_millis(40), "fired early: {took:?}");
+        assert!(!slow.is_cancelled(), "the 5-s token is still pending");
+    }
+
+    #[test]
+    fn a_dropped_watch_never_fires() {
+        let token = CancelToken::new();
+        drop(watch(Duration::from_millis(20), &token));
+        assert_eq!(fired_within(&token, Duration::from_millis(150)), None);
+    }
+
+    #[test]
+    fn a_deadline_beyond_the_clock_never_fires() {
+        let token = CancelToken::new();
+        assert!(
+            watch(Duration::MAX, &token).is_none(),
+            "an overflowing deadline is not registered"
+        );
+        assert_eq!(supervise(Some(Duration::MAX), || 7), Supervised::Value(7));
+    }
+
+    #[test]
+    fn supervise_classifies_value_panic_and_timeout() {
+        assert_eq!(supervise(None, || 1), Supervised::Value(1));
+        assert_eq!(
+            supervise(Some(Duration::from_secs(30)), || -> u8 {
+                panic!("genuine bug")
+            }),
+            Supervised::Panic("genuine bug".to_string())
+        );
+        let hang = supervise(Some(Duration::from_millis(30)), || -> u8 {
+            while !cancelled() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            panic!("unwound after cancellation");
+        });
+        assert_eq!(hang, Supervised::Timeout);
+        assert!(current().is_none(), "the supervised token is uninstalled");
+    }
+
+    #[test]
+    fn supervise_without_a_budget_keeps_the_current_token() {
+        let outer = CancelToken::new();
+        outer.cancel();
+        let _guard = ScopedCancel::install(outer);
+        assert_eq!(supervise(None, cancelled), Supervised::Value(true));
+        assert_eq!(
+            supervise(None, || -> u8 { panic!("bug") }),
+            Supervised::Panic("bug".to_string()),
+            "only a token the supervisor armed turns a panic into a timeout"
+        );
+        assert_eq!(
+            supervise(Some(Duration::from_secs(30)), cancelled),
+            Supervised::Value(false),
+            "a budget runs under a fresh token"
+        );
+    }
+
+    #[test]
+    fn budgets_from_outside_must_fit_a_duration() {
+        assert_eq!(budget_from_secs(0.5), Some(Duration::from_millis(500)));
+        for bad in [0.0, -1.0, 1e20, f64::NAN, f64::INFINITY] {
+            assert_eq!(budget_from_secs(bad), None, "{bad}");
+        }
     }
 
     #[test]

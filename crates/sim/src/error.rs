@@ -30,7 +30,7 @@ pub enum SimError {
         value: f64,
     },
     /// The run was cancelled through the thread's [`crate::cancel`] token —
-    /// typically the watchdog in [`crate::parallel`] firing a wall-clock
+    /// typically the watchdog in [`crate::cancel`] firing a wall-clock
     /// deadline on a hung experiment.
     Cancelled,
     /// An attached [`crate::store::Checkpointer`] could not persist the

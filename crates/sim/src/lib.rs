@@ -20,10 +20,13 @@
 //! * [`parallel`]: order-preserving scoped-thread fan-out for independent
 //!   simulation trials (`WRSN_THREADS` controls the worker count), with a
 //!   panic-catching, retrying [`parallel::try_map_indexed_watched`] variant
-//!   whose optional watchdog cancels hung items at a wall-clock deadline,
+//!   whose optional deadline cancels hung items at a wall-clock budget,
 //! * [`cancel`]: the cooperative cancellation protocol — a thread-local
 //!   [`cancel::CancelToken`] the run loop polls between integration
-//!   segments,
+//!   segments — and [`cancel::supervise`], the one supervisor of a work item:
+//!   a budget served by one process-wide watchdog thread that sleeps until
+//!   the earliest deadline, a caught unwind, and a value/timeout/panic
+//!   verdict,
 //! * [`store`]: crash-safe disk persistence — atomic checksummed checkpoint
 //!   files and the periodic [`store::Checkpointer`] a world carries,
 //! * [`obs`]: structured observability — the [`obs::Recorder`] trait (typed

@@ -4,23 +4,18 @@
 //! per trial, or one scenario per condition), so they parallelize trivially:
 //! [`map_indexed`] fans the trial indices out over scoped threads and
 //! returns results **in index order**, which keeps every downstream table
-//! byte-identical to a sequential run.
+//! byte-identical to a sequential run. [`map_indexed_observed`] does the same
+//! for trials that report to a [`Recorder`].
 //!
 //! [`try_map_indexed_watched`] is the panic-safe variant the `exp` runner
-//! uses, and the one body [`map_indexed`] runs on: a worker panic is caught
-//! ([`std::panic::catch_unwind`]), the failed index is retried with backoff,
-//! and a terminal failure comes back as a typed [`WorkerError`] in that
-//! index's slot instead of tearing down the whole campaign — every healthy
-//! index still returns its result.
-//!
-//! With a deadline it also runs a **watchdog**: each work item gets a fresh
-//! [`crate::cancel::CancelToken`] installed as its thread's current token,
-//! and a monitor thread cancels any item that outlives its wall-clock
-//! deadline. The simulation engine polls the token between integration
-//! segments ([`crate::SimError::Cancelled`]), so a hung experiment unwinds
-//! cooperatively and is reported as a typed [`FailureKind::Timeout`] — the
-//! rest of the campaign completes. Timeouts are never retried (they would
-//! only burn the deadline again).
+//! uses, and the one body [`map_indexed`] runs on. Each attempt at an index
+//! is one [`cancel::supervise`]d call, with the deadline (if any) as its
+//! budget: a panic is retried with backoff, and a terminal failure comes
+//! back as a typed [`WorkerError`] in that index's slot instead of tearing
+//! down the whole campaign. A hung experiment unwinds at the engine's next
+//! segment poll once the watchdog cancels its token, and is reported as a
+//! [`FailureKind::Timeout`], never retried (that would only burn the
+//! deadline again).
 //!
 //! Workers inherit the spawning thread's current cancellation token, so
 //! nested fan-outs (an experiment calling [`map_indexed`] for its inner
@@ -35,12 +30,11 @@
 
 use std::fmt;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
-use crate::cancel::{self, CancelToken, ScopedCancel};
+use crate::cancel::{self, ScopedCancel, Supervised};
+use crate::obs::{NullRecorder, Recorder, StatsRecorder};
 
 /// Environment variable overriding the worker thread count.
 pub const THREADS_ENV: &str = "WRSN_THREADS";
@@ -116,30 +110,14 @@ impl fmt::Display for WorkerError {
 
 impl std::error::Error for WorkerError {}
 
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// One work item's supervision slot: the watchdog reads the start instant and
-/// cancels the token of any in-flight attempt past its deadline.
-type Slot = Mutex<Option<(Instant, CancelToken)>>;
-
 /// Runs `f(index)` with up to `retries` re-attempts after a panic, sleeping
-/// `10ms << attempt` between attempts (transient-failure backoff). With a
-/// supervision `slot`, each attempt runs under a fresh cancellation token
-/// registered for the watchdog; a cancelled attempt is a terminal
-/// [`FailureKind::Timeout`] (no retry).
+/// `10ms << attempt` between attempts (transient-failure backoff). Each
+/// attempt is one [`cancel::supervise`]d call with `deadline` as its budget;
+/// a timed-out attempt is a terminal [`FailureKind::Timeout`] (no retry).
 fn attempt_with_retries<T, F>(
     index: usize,
     retries: usize,
-    slot: Option<&Slot>,
-    inherited: &Option<CancelToken>,
+    deadline: Option<Duration>,
     f: &F,
 ) -> Result<T, WorkerError>
 where
@@ -150,30 +128,9 @@ where
         if attempt > 0 {
             std::thread::sleep(Duration::from_millis(10u64 << (attempt - 1).min(6)));
         }
-        let token = match slot {
-            Some(slot) => {
-                let token = CancelToken::new();
-                *slot.lock().unwrap() = Some((Instant::now(), token.clone()));
-                Some(token)
-            }
-            None => None,
-        };
-        // Install the per-attempt token (supervised) or the spawning thread's
-        // token (inherited) so nested fan-outs and the sim engine see it.
-        let guard = token
-            .clone()
-            .or_else(|| inherited.clone())
-            .map(ScopedCancel::install);
-        let result = catch_unwind(AssertUnwindSafe(|| f(index)));
-        drop(guard);
-        if let Some(slot) = slot {
-            *slot.lock().unwrap() = None;
-        }
-        let timed_out = token.as_ref().is_some_and(CancelToken::is_cancelled);
-        match result {
-            // A result that beat the watchdog by a hair still counts.
-            Ok(value) => return Ok(value),
-            Err(_) if timed_out => {
+        match cancel::supervise(deadline, || f(index)) {
+            Supervised::Value(value) => return Ok(value),
+            Supervised::Timeout => {
                 return Err(WorkerError {
                     index,
                     attempts: attempt + 1,
@@ -181,7 +138,7 @@ where
                     message: "cancelled at its wall-clock deadline".to_string(),
                 });
             }
-            Err(payload) => last = payload_message(payload.as_ref()),
+            Supervised::Panic(message) => last = message,
         }
     }
     Err(WorkerError {
@@ -214,6 +171,32 @@ where
         .collect()
 }
 
+/// [`map_indexed`] for work that reports to a recorder: `f(index, rec)`.
+///
+/// When `rec` is enabled each index records into a private
+/// [`StatsRecorder`], and these merge into `rec` in index order, so the
+/// merged stream is independent of the worker count. When it is not, every
+/// index gets a [`NullRecorder`] and no recorder is allocated.
+pub fn map_indexed_observed<T, F>(count: usize, rec: &mut dyn Recorder, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, &mut dyn Recorder) -> T + Sync,
+{
+    if !rec.enabled() {
+        return map_indexed(count, |index| f(index, &mut NullRecorder));
+    }
+    map_indexed(count, |index| {
+        let mut worker = StatsRecorder::new();
+        (f(index, &mut worker), worker)
+    })
+    .into_iter()
+    .map(|(value, worker)| {
+        worker.merge_into(rec);
+        value
+    })
+    .collect()
+}
+
 /// Panic-safe [`map_indexed`]: catches worker panics, retries each failed
 /// index up to `retries` more times with exponential backoff, and returns one
 /// `Result` per index — in index order — so one poisoned work item cannot
@@ -222,14 +205,10 @@ where
 /// The harness itself stays deterministic: results (and errors) land in index
 /// order regardless of worker count or retry timing.
 ///
-/// With `deadline` set the run is under watchdog supervision: any work item
-/// whose in-flight attempt outlives the deadline has its cancellation token
-/// fired by a monitor thread and comes back as a typed
-/// [`FailureKind::Timeout`] failure — the remaining items run to completion.
-///
-/// Cancellation is cooperative (see [`crate::cancel`]): the simulation engine
-/// polls between integration segments, so a cancelled experiment unwinds at
-/// the next segment boundary. Code that never polls cannot be interrupted.
+/// With `deadline` set, an attempt that outlives it has its cancellation
+/// token fired and comes back as a typed [`FailureKind::Timeout`] failure;
+/// the remaining items run to completion. Cancellation is cooperative (see
+/// [`crate::cancel`]): code that never polls cannot be interrupted.
 pub fn try_map_indexed_watched<T, F>(
     count: usize,
     retries: usize,
@@ -240,59 +219,28 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let inherited = cancel::current();
     let workers = threads().min(count);
-    if deadline.is_none() && workers <= 1 {
+    if workers <= 1 {
         return (0..count)
-            .map(|index| attempt_with_retries(index, retries, None, &inherited, &f))
+            .map(|index| attempt_with_retries(index, retries, deadline, &f))
             .collect();
     }
-    let slots: Vec<Slot> = match deadline {
-        Some(_) => (0..count).map(|_| Mutex::new(None)).collect(),
-        None => Vec::new(),
-    };
+    let inherited = cancel::current();
     let cursor = AtomicUsize::new(0);
-    let done = AtomicBool::new(false);
+    let (inherited, cursor, f) = (&inherited, &cursor, &f);
     let mut indexed: Vec<(usize, Result<T, WorkerError>)> = Vec::with_capacity(count);
     std::thread::scope(|scope| {
-        let watchdog = deadline.map(|deadline| {
-            let slots = &slots;
-            let done = &done;
-            // Poll an order of magnitude below the deadline (clamped to
-            // [1ms, 25ms]) so overshoot stays small without busy-waiting.
-            let poll = (deadline / 10).clamp(Duration::from_millis(1), Duration::from_millis(25));
-            scope.spawn(move || {
-                while !done.load(Ordering::Acquire) {
-                    for slot in slots {
-                        let running = slot.lock().unwrap();
-                        if let Some((started, token)) = running.as_ref() {
-                            if started.elapsed() >= deadline {
-                                token.cancel();
-                            }
-                        }
-                    }
-                    std::thread::sleep(poll);
-                }
-            })
-        });
-        let handles: Vec<_> = (0..workers.max(1))
+        let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let inherited = &inherited;
-                let slots = &slots;
-                let cursor = &cursor;
-                let f = &f;
                 scope.spawn(move || {
+                    let _inherited = inherited.clone().map(ScopedCancel::install);
                     let mut local = Vec::new();
                     loop {
                         let index = cursor.fetch_add(1, Ordering::Relaxed);
                         if index >= count {
                             break;
                         }
-                        let slot = slots.get(index);
-                        local.push((
-                            index,
-                            attempt_with_retries(index, retries, slot, inherited, f),
-                        ));
+                        local.push((index, attempt_with_retries(index, retries, deadline, f)));
                     }
                     local
                 })
@@ -306,12 +254,6 @@ where
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-        done.store(true, Ordering::Release);
-        if let Some(watchdog) = watchdog {
-            if let Err(payload) = watchdog.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
     });
     indexed.sort_by_key(|&(index, _)| index);
     indexed.into_iter().map(|(_, value)| value).collect()
@@ -320,6 +262,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
 
     #[test]
     fn results_come_back_in_index_order() {

@@ -22,6 +22,11 @@ cargo build --release --offline --manifest-path crates/bench/examples/perf/Cargo
 echo "== release golden digest (fig9 + fig13 byte-identity)"
 cargo test --release -p wrsn-bench --test golden_exp_digest -q
 
+echo "== release text goldens (the suite's deterministic tables, row by row)"
+# Every CSV of `exp --id all` except the wall-clock tab1; a mismatch names
+# the table and prints the rows that moved.
+cargo test --release -p wrsn-bench --test golden_tables -q
+
 echo "== release golden digest (scale 10k byte-identity)"
 cargo test --release -p wrsn-bench --test golden_scale_digest -q
 
@@ -231,6 +236,22 @@ svc_addr="$(sed -n 's/^wrsnd listening on //p' "$svc_banner")"
 wait "$svc_pid" \
   || { echo "wrsnd daemon exited nonzero" >&2; exit 1; }
 
+echo "== wrsnd stdin smoke: a deadline no Duration can hold is a typed error"
+# deadline_s = 1e20 s is a finite positive number but above Duration's range.
+# Under --stdin the request reader runs on the main thread, so converting it
+# with a panic would kill the daemon; it must answer an error line for `h`
+# and then shut down cleanly.
+stdin_store="$(mktemp -d)"
+stdin_out="$(mktemp)"
+trap 'rm -f "$trace_file" "$faults_a" "$faults_b" "$panic_out" "$panic_err" \
+  "$hang_out" "$hang_err" "$svc_banner" "$stdin_out"; \
+  rm -rf "$gold_dir" "$run_dir" "$svc_store" "$stdin_store"' EXIT
+printf '%s\n' '{"id":"h","exp":"fig2","deadline_s":1e20}' '{"op":"shutdown"}' \
+  | "$wrsnd" serve --stdin --store "$stdin_store" > "$stdin_out" 2>/dev/null \
+  || { echo "wrsnd serve --stdin exited nonzero on deadline_s = 1e20" >&2; exit 1; }
+grep -q '"id":"h","status":"error"' "$stdin_out" \
+  || { echo "wrsnd serve --stdin printed no error line for id h" >&2; exit 1; }
+
 echo "== wrsnd chaos smoke: load through the fault-injecting proxy"
 # Boot a small-capacity daemon behind the chaos proxy (seeded connection
 # drops, mid-stream truncations, stalls) and drive a mixed streamed/plain
@@ -242,8 +263,8 @@ chaos_store="$(mktemp -d)"
 chaos_svc_banner="$(mktemp)"
 chaos_banner="$(mktemp)"
 trap 'rm -f "$trace_file" "$faults_a" "$faults_b" "$panic_out" "$panic_err" \
-  "$hang_out" "$hang_err" "$svc_banner" "$chaos_svc_banner" "$chaos_banner"; \
-  rm -rf "$gold_dir" "$run_dir" "$svc_store" "$chaos_store"' EXIT
+  "$hang_out" "$hang_err" "$svc_banner" "$stdin_out" "$chaos_svc_banner" "$chaos_banner"; \
+  rm -rf "$gold_dir" "$run_dir" "$svc_store" "$stdin_store" "$chaos_store"' EXIT
 "$wrsnd" serve --listen 127.0.0.1:0 --store "$chaos_store" --workers 2 \
   --queue-cap 4 --cache-cap-bytes 65536 --max-requests 4000 \
   > "$chaos_svc_banner" 2>/dev/null &
