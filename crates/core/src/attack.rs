@@ -10,7 +10,7 @@
 //! victims linger long enough to file energy reports — the detector bait that
 //! motivates TIDE's time windows (experiment `fig8`).
 
-use wrsn_net::NodeId;
+use wrsn_net::{keynode, NodeId};
 use wrsn_sim::obs::{Counter, NullRecorder, Recorder};
 use wrsn_sim::{ChargeMode, ChargerAction, ChargerPolicy, SimReport, World, WorldView};
 
@@ -196,7 +196,24 @@ impl CsaAttackPolicy {
                     TideInstance::for_targets(view.net, &cfg, &self.unserved)
                 }
             }
-            None => TideInstance::from_network_excluding(view.net, &cfg, &self.served),
+            // The first census: the engine's tree and power are those of
+            // the live alive mask, so rank on them instead of building two
+            // more shortest-path trees. Bitwise equal to
+            // `TideInstance::from_network_excluding`.
+            None => {
+                let mask = view.net.alive_mask();
+                let keys: Vec<(NodeId, f64)> =
+                    keynode::identify_with_tree(view.net, &mask, view.tree, &cfg.keynode)
+                        .into_iter()
+                        .filter(|k| !self.served.contains(&k.id))
+                        .map(|k| (k.id, k.weight))
+                        .collect();
+                if cfg.radio == view.radio {
+                    TideInstance::for_targets_with_power(view.net, &cfg, &keys, view.power_w)
+                } else {
+                    TideInstance::for_targets(view.net, &cfg, &keys)
+                }
+            }
         }
     }
 
@@ -720,6 +737,58 @@ mod tests {
             world.set_battery_level(NodeId(i), level).unwrap();
         }
         world
+    }
+
+    /// The first census ranks on the engine's tree and reuses its power
+    /// vector; it must equal the from-scratch census bit for bit, in exact
+    /// and in approximate mode, with some nodes already dead.
+    #[test]
+    fn first_census_equals_the_from_scratch_instance() {
+        for max_exact_nodes in [usize::MAX, 0] {
+            let nodes = deploy::uniform(&wrsn_net::Region::square(200.0), 200, 5);
+            let net = Network::build(nodes, Point::new(100.0, 100.0), 30.0);
+            let charger = MobileCharger::standard(Point::new(100.0, 100.0));
+            let config = WorldConfig::default();
+            let radio = config.radio;
+            let mut world = World::new(net, charger, config);
+            for i in 0..200 {
+                let level = if i % 23 == 0 {
+                    0.0
+                } else {
+                    200.0 + (i * 37 % 200) as f64
+                };
+                world.set_battery_level(NodeId(i), level).unwrap();
+            }
+            let view = WorldView {
+                time_s: world.time_s(),
+                net: world.network(),
+                tree: world.tree(),
+                power_w: world.power_w(),
+                charger: world.charger(),
+                requests: world.requests(),
+                horizon_s: 1e6,
+                depot: None,
+                radio,
+            };
+            let mut tide = TideConfig::default();
+            tide.keynode.max_exact_nodes = max_exact_nodes;
+            let mut policy = CsaAttackPolicy::new(tide);
+            policy.next_action(&view);
+            let census = policy
+                .initial_instance()
+                .expect("the first decision takes a census");
+            let reference = TideInstance::from_network_excluding(
+                view.net,
+                &policy.live_config(&view),
+                &std::collections::HashSet::new(),
+            );
+            assert!(!census.victims.is_empty());
+            assert_eq!(
+                format!("{census:?}"),
+                format!("{reference:?}"),
+                "max_exact_nodes = {max_exact_nodes}"
+            );
+        }
     }
 
     #[test]

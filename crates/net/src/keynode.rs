@@ -182,7 +182,8 @@ pub fn identify_with_mask(net: &Network, mask: &[bool], config: &KeyNodeConfig) 
         return Vec::new();
     }
     if n > config.max_exact_nodes {
-        return identify_approx(net, mask, config);
+        let tree = RoutingTree::shortest_path(net, mask);
+        return identify_approx(net, mask, &tree, config);
     }
     let cuts: std::collections::HashSet<NodeId> = if config.include_cut_vertices {
         net.articulation_points(mask).into_iter().collect()
@@ -236,16 +237,42 @@ pub fn identify_with_mask(net: &Network, mask: &[bool], config: &KeyNodeConfig) 
     out
 }
 
+/// [`identify_with_mask`] given the routing tree of `mask`, which must
+/// equal `RoutingTree::shortest_path(net, mask)`, as a live simulator's
+/// tree does. The approximation then ranks on that tree instead of building
+/// its own; the exact pipeline does not use a tree and is unchanged.
+///
+/// # Panics
+///
+/// Panics if `mask.len() != net.node_count()`.
+pub fn identify_with_tree(
+    net: &Network,
+    mask: &[bool],
+    tree: &RoutingTree,
+    config: &KeyNodeConfig,
+) -> Vec<KeyNode> {
+    net.assert_mask_len(mask);
+    if net.node_count() > config.max_exact_nodes {
+        identify_approx(net, mask, tree, config)
+    } else {
+        identify_with_mask(net, mask, config)
+    }
+}
+
 /// Near-linear key-node identification for networks past
-/// [`KeyNodeConfig::max_exact_nodes`]: one routing-tree build ranks alive
-/// nodes by relayed inbound traffic — the quantity betweenness is a proxy
-/// for in a sink-rooted WRSN — and the top `hub_fraction` become hubs with
-/// `weight = 1 + rx / max_rx`. Cut vertices and stranded counts are skipped:
-/// the approximation ranks by relayed traffic alone.
-fn identify_approx(net: &Network, mask: &[bool], config: &KeyNodeConfig) -> Vec<KeyNode> {
+/// [`KeyNodeConfig::max_exact_nodes`]: the routing tree of `mask` ranks
+/// alive nodes by relayed inbound traffic — the quantity betweenness is a
+/// proxy for in a sink-rooted WRSN — and the top `hub_fraction` become hubs
+/// with `weight = 1 + rx / max_rx`. Cut vertices and stranded counts are
+/// skipped: the approximation ranks by relayed traffic alone.
+fn identify_approx(
+    net: &Network,
+    mask: &[bool],
+    tree: &RoutingTree,
+    config: &KeyNodeConfig,
+) -> Vec<KeyNode> {
     let n = net.node_count();
-    let tree = RoutingTree::shortest_path(net, mask);
-    let load = routing::traffic_load(net, &tree, mask);
+    let load = routing::traffic_load(net, tree, mask);
     let mut ranked: Vec<usize> = (0..n)
         .filter(|&i| mask.get(i).copied().unwrap_or(false) && load.rx_bps[i] > 0.0)
         .collect();
@@ -344,32 +371,24 @@ pub fn effective_node_power(
     }
 }
 
-/// Updates `power` in place after an incremental routing repair: only nodes
-/// whose routing state may have changed (`affected`, from
-/// [`RoutingTree::repair_after_deaths`]) or whose traffic load changed are
-/// recomputed. Every other entry is bitwise-stable because its inputs are
-/// unchanged. Returns the number of entries recomputed.
-#[allow(clippy::too_many_arguments)] // mirrors effective_power_draw's inputs plus the diff state
-#[allow(clippy::needless_range_loop)] // co-indexes four same-length vectors
+/// Updates `power` in place after an incremental routing repair: only the
+/// nodes in `dirty` are recomputed — [`routing::RepairScratch::dirty`]: the
+/// affected set plus every node whose load bits changed. Every other entry
+/// is bitwise-stable because its inputs are unchanged. Returns the number of
+/// entries recomputed.
 pub fn update_effective_power(
     net: &Network,
     mask: &[bool],
     radio: &RadioEnergyModel,
     tree: &RoutingTree,
     load: &routing::TrafficLoad,
-    prev_load: &routing::TrafficLoad,
-    affected: &[bool],
+    dirty: impl IntoIterator<Item = usize>,
     power: &mut [f64],
 ) -> usize {
-    let mut recomputed = 0usize;
-    for i in 0..net.node_count() {
-        let dirty = affected.get(i).copied().unwrap_or(true)
-            || load.rx_bps[i].to_bits() != prev_load.rx_bps[i].to_bits()
-            || load.tx_bps[i].to_bits() != prev_load.tx_bps[i].to_bits();
-        if dirty {
-            power[i] = effective_node_power(net, mask, radio, tree, load, i);
-            recomputed += 1;
-        }
+    let mut recomputed = 0;
+    for i in dirty {
+        power[i] = effective_node_power(net, mask, radio, tree, load, i);
+        recomputed += 1;
     }
     recomputed
 }

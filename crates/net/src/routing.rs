@@ -32,14 +32,24 @@ use crate::node::NodeId;
 /// ```
 #[derive(Debug, Clone)]
 pub struct RoutingTree {
-    /// Next hop toward the sink; `None` for sink-adjacent nodes (they deliver
-    /// directly) and for unreachable nodes.
-    parent: Vec<Option<NodeId>>,
+    /// Next hop toward the sink, as a node index; [`NO_NODE`] for
+    /// sink-adjacent nodes (they deliver directly) and for unreachable nodes.
+    /// Serialized as `Option<NodeId>`.
+    parent: Vec<u32>,
     /// Shortest distance to the sink (m); `INFINITY` if unreachable.
     dist: Vec<f64>,
     /// Whether each node can reach the sink at all.
     reachable: Vec<bool>,
+    /// Child lists, derived from `parent`: `first_child[v]` heads a singly
+    /// linked list of `v`'s children threaded through `next_sibling`, and
+    /// [`NO_NODE`] ends it. Built wherever `reachable` is computed, rebuilt
+    /// on deserialize and never serialized.
+    first_child: Vec<u32>,
+    next_sibling: Vec<u32>,
 }
+
+/// No node: the end of a child list, or no parent.
+const NO_NODE: u32 = u32::MAX;
 
 // Hand-written impls because `dist` holds `INFINITY` for unreachable nodes
 // and JSON has no non-finite numbers: infinite entries round-trip as `null`.
@@ -51,7 +61,14 @@ impl Serialize for RoutingTree {
             .map(|&d| if d.is_finite() { Some(d) } else { None })
             .collect();
         serde::Value::Map(vec![
-            ("parent".to_string(), self.parent.to_value()),
+            (
+                "parent".to_string(),
+                serde::Value::Seq(
+                    (0..self.parent.len())
+                        .map(|v| self.up(v).map(NodeId).to_value())
+                        .collect(),
+                ),
+            ),
             ("dist".to_string(), dist.to_value()),
             ("reachable".to_string(), self.reachable.to_value()),
         ])
@@ -59,7 +76,15 @@ impl Serialize for RoutingTree {
 
     fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
         let mut map = serde::json::MapWriter::new(out);
-        map.field("parent", &self.parent)?;
+        let parent = map.key("parent");
+        parent.push('[');
+        for v in 0..self.parent.len() {
+            if v > 0 {
+                parent.push(',');
+            }
+            self.up(v).map(NodeId).write_json(parent)?;
+        }
+        parent.push(']');
         let dist = map.key("dist");
         dist.push('[');
         for (i, &d) in self.dist.iter().enumerate() {
@@ -85,31 +110,137 @@ impl Deserialize for RoutingTree {
             .as_map()
             .ok_or_else(|| serde::Error::expected("map", "RoutingTree"))?;
         let dist: Vec<Option<f64>> = Deserialize::from_value(serde::map_get(entries, "dist")?)?;
-        Ok(RoutingTree {
-            parent: Deserialize::from_value(serde::map_get(entries, "parent")?)?,
+        let parent: Vec<Option<NodeId>> =
+            Deserialize::from_value(serde::map_get(entries, "parent")?)?;
+        let n = parent.len();
+        if n >= NO_NODE as usize || parent.iter().flatten().any(|p| p.0 >= n) {
+            return Err(serde::Error(
+                "RoutingTree parent names a node out of range".to_string(),
+            ));
+        }
+        let mut tree = RoutingTree {
+            parent: parent
+                .iter()
+                .map(|p| p.map_or(NO_NODE, |p| p.0 as u32))
+                .collect(),
             dist: dist
                 .into_iter()
                 .map(|d| d.unwrap_or(f64::INFINITY))
                 .collect(),
             reachable: Deserialize::from_value(serde::map_get(entries, "reachable")?)?,
-        })
+            first_child: Vec::new(),
+            next_sibling: Vec::new(),
+        };
+        if tree.dist.len() != n || tree.reachable.len() != n {
+            return Err(serde::Error(
+                "RoutingTree columns have different lengths".to_string(),
+            ));
+        }
+        tree.link_children();
+        Ok(tree)
     }
 }
 
 impl RoutingTree {
     /// Builds the shortest-path tree over the subgraph induced by `mask`.
     pub fn shortest_path(net: &Network, mask: &[bool]) -> Self {
-        let n = net.node_count();
         let mut tree = RoutingTree {
-            parent: vec![None; n],
-            dist: vec![f64::INFINITY; n],
+            parent: Vec::new(),
+            dist: Vec::new(),
             reachable: Vec::new(),
+            first_child: Vec::new(),
+            next_sibling: Vec::new(),
         };
-        let mut heap = BinaryHeap::new();
-        tree.seed_sink_neighbors(net, |s| mask.get(s).copied().unwrap_or(false), &mut heap);
-        tree.settle(net, mask, &mut heap, usize::MAX);
-        tree.reachable = tree.dist.iter().map(|d| d.is_finite()).collect();
+        tree.rebuild(net, mask, &mut BinaryHeap::new());
         tree
+    }
+
+    /// [`RoutingTree::shortest_path`] in place, reusing this tree's
+    /// buffers and `heap`.
+    fn rebuild(&mut self, net: &Network, mask: &[bool], heap: &mut Heap) {
+        let n = net.node_count();
+        self.parent.clear();
+        self.parent.resize(n, NO_NODE);
+        self.dist.clear();
+        self.dist.resize(n, f64::INFINITY);
+        heap.clear();
+        self.seed_sink_neighbors(net, |s| mask.get(s).copied().unwrap_or(false), heap);
+        self.settle(net, mask, heap, usize::MAX);
+        self.reachable.clear();
+        self.reachable
+            .extend(self.dist.iter().map(|d| d.is_finite()));
+        self.link_children();
+    }
+
+    /// Rebuilds the child lists from `parent`, each in ascending id order.
+    fn link_children(&mut self) {
+        let n = self.parent.len();
+        assert!(
+            n < NO_NODE as usize,
+            "routing trees hold at most {} nodes, got {n}",
+            NO_NODE
+        );
+        self.first_child.clear();
+        self.first_child.resize(n, NO_NODE);
+        self.next_sibling.clear();
+        self.next_sibling.resize(n, NO_NODE);
+        for v in (0..n).rev() {
+            if let Some(p) = self.up(v) {
+                self.link(v, p);
+            }
+        }
+    }
+
+    /// The parent of `v`, if it has one.
+    fn up(&self, v: usize) -> Option<usize> {
+        let p = self.parent[v];
+        (p != NO_NODE).then_some(p as usize)
+    }
+
+    /// Prepends `v` to the child list of `p`.
+    fn link(&mut self, v: usize, p: usize) {
+        self.next_sibling[v] = self.first_child[p];
+        self.first_child[p] = v as u32;
+    }
+
+    /// Removes `v` from the child list of `p`, in O(children of `p`).
+    fn unlink(&mut self, v: usize, p: usize) {
+        let v32 = v as u32;
+        if self.first_child[p] == v32 {
+            self.first_child[p] = self.next_sibling[v];
+            return;
+        }
+        let mut c = self.first_child[p];
+        while c != NO_NODE {
+            let next = self.next_sibling[c as usize];
+            if next == v32 {
+                self.next_sibling[c as usize] = self.next_sibling[v];
+                return;
+            }
+            c = next;
+        }
+        debug_assert!(false, "node {v} is missing from the child list of {p}");
+    }
+
+    /// The children of `v` in the tree.
+    fn children(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        let mut c = self.first_child[v];
+        std::iter::from_fn(move || {
+            (c != NO_NODE).then(|| {
+                let child = c as usize;
+                c = self.next_sibling[child];
+                child
+            })
+        })
+    }
+
+    /// Whether [`traffic_load`]'s farthest-first pass handles `c` before its
+    /// parent `p`. Only then does `c`'s traffic reach `p`'s ancestors, so an
+    /// edge failing this (a child at its parent's exact distance with a
+    /// higher id, which takes a sub-ulp edge) makes the loads non-additive.
+    fn processed_before(&self, c: usize, p: usize) -> bool {
+        let (dc, dp) = (self.dist[c].to_bits(), self.dist[p].to_bits());
+        dc > dp || (dc == dp && c < p)
     }
 
     /// Pushes every sink neighbour `s` with `include(s)` at its direct
@@ -161,7 +292,7 @@ impl RoutingTree {
                 let nd = d + w;
                 if nd < self.dist[u.0] {
                     self.dist[u.0] = nd;
-                    self.parent[u.0] = Some(NodeId(v));
+                    self.parent[u.0] = v as u32;
                     heap.push(key(nd, u.0));
                 }
             }
@@ -178,16 +309,19 @@ impl RoutingTree {
     /// other node keeps a shortest path that avoids the dead nodes, and its
     /// distance, parent and reachability (including Dijkstra tie-breaks) are
     /// provably bit-identical to a full [`RoutingTree::shortest_path`] run
-    /// over the shrunken mask. Affected nodes are re-relaxed from the
-    /// frontier: their alive, still-routed neighbours re-enter the heap at
-    /// their existing distances, so pops interleave in the same global
+    /// over the shrunken mask. The affected set is found by a DFS over the
+    /// child lists from the dead nodes. Affected nodes are re-relaxed from
+    /// the frontier: their alive, still-routed neighbours re-enter the heap
+    /// at their existing distances, so pops interleave in the same global
     /// `(dist, id)` order a full build would produce.
     ///
-    /// `mask` must already exclude the dead nodes. `affected` is an output
-    /// buffer (reused across calls) set to the affected mask; callers use it
-    /// to limit downstream power-draw recomputation. When a death
-    /// invalidates most of the tree the repair falls back to a full rebuild
-    /// (same result, cheaper) and reports it.
+    /// `mask` must already exclude the dead nodes, and `alive` is its number
+    /// of `true` entries. `scratch` is reused across calls; afterwards it
+    /// holds the affected set ([`RepairScratch::is_affected`]), and
+    /// [`TrafficLoad::update_after_repair`] reads it to update the load.
+    /// Every step costs O(affected + its neighbourhood), never O(n). When a
+    /// death invalidates most of the tree the repair falls back to a full
+    /// rebuild (same result, cheaper) and reports it.
     ///
     /// Debug builds re-run the full computation and assert bitwise equality
     /// — the equality harness backing the `routing_repair` property tests.
@@ -195,117 +329,113 @@ impl RoutingTree {
         &mut self,
         net: &Network,
         mask: &[bool],
+        alive: usize,
         dead: &[NodeId],
-        affected: &mut Vec<bool>,
+        scratch: &mut RepairScratch,
     ) -> RepairReport {
-        self.repair_after_deaths_budgeted(net, mask, dead, affected, None)
+        self.repair_after_deaths_budgeted(net, mask, alive, dead, scratch, None)
     }
 
     /// [`RoutingTree::repair_after_deaths`] with an explicit relaxation
     /// budget (`None` = the default `max(alive / 2, 4096)`). Exposed for the
     /// budget-fallback unit tests; production callers use the default.
-    #[allow(clippy::needless_range_loop)] // `affected` co-indexes self.dist/parent/reachable
     fn repair_after_deaths_budgeted(
         &mut self,
         net: &Network,
         mask: &[bool],
+        alive: usize,
         dead: &[NodeId],
-        affected: &mut Vec<bool>,
+        scratch: &mut RepairScratch,
         budget_override: Option<usize>,
     ) -> RepairReport {
         let n = net.node_count();
         debug_assert_eq!(self.dist.len(), n);
-        affected.clear();
-        affected.resize(n, false);
+        scratch.reset(n);
+        let s = scratch;
 
-        // Classify every node: 0 = unknown, 1 = clean, 2 = affected,
-        // 3 = on the current walk. Affected = dead ∪ descendants, found by
-        // memoized parent-chain walks (O(n) amortized).
-        let mut status = vec![0u8; n];
-        for &d in dead {
-            if d.0 < n {
-                status[d.0] = 2;
-            }
-        }
-        let mut path = Vec::new();
-        for i in 0..n {
-            if status[i] != 0 {
+        // Affected = dead ∪ descendants, by a DFS over the child lists. A
+        // dead node below another dead node is reached once, from either.
+        let mut ordered = true;
+        for &NodeId(d) in dead {
+            if d >= n || s.flags[d] & AFFECTED != 0 {
                 continue;
             }
-            path.clear();
-            let mut cur = i;
-            let verdict = loop {
-                match status[cur] {
-                    1 => break 1,
-                    2 => break 2,
-                    3 => break 1, // defensive: parent pointers form a forest
-                    _ => {}
+            s.flags[d] |= AFFECTED;
+            s.affected.push(d as u32);
+            s.stack.push(d as u32);
+            while let Some(v) = s.stack.pop() {
+                let v = v as usize;
+                for c in self.children(v) {
+                    ordered &= self.processed_before(c, v);
+                    if s.flags[c] & AFFECTED == 0 {
+                        s.flags[c] |= AFFECTED;
+                        s.affected.push(c as u32);
+                        s.stack.push(c as u32);
+                    }
                 }
-                status[cur] = 3;
-                path.push(cur);
-                match self.parent[cur] {
-                    Some(p) => cur = p.0,
-                    // Chain root: sink-adjacent or unreachable — both keep
-                    // their state when other nodes die.
-                    None => break 1,
-                }
+            }
+        }
+        // The roots of the affected subtrees are dead nodes under a clean
+        // parent (or none). Their old parent chains are all clean, so they
+        // survive the repair unchanged.
+        for &NodeId(d) in dead {
+            let Some(p) = (d < n).then(|| self.up(d)).flatten() else {
+                continue;
             };
-            for &v in &path {
-                status[v] = verdict;
+            if s.flags[p] & AFFECTED == 0 && s.flags[d] & ROOT == 0 {
+                s.flags[d] |= ROOT;
+                s.roots.push((d, p));
+                ordered &= self.processed_before(d, p);
             }
         }
-        let mut affected_count = 0usize;
-        let mut alive_count = 0usize;
-        for i in 0..n {
-            if status[i] == 2 {
-                affected[i] = true;
-                affected_count += 1;
-            }
-            if mask.get(i).copied().unwrap_or(false) {
-                alive_count += 1;
-            }
-        }
+        s.old_edges_ordered = ordered;
 
         // A death that guts most of the tree is repaired fastest by simply
         // rebuilding; the result is identical either way.
-        if 2 * affected_count > alive_count {
-            *self = RoutingTree::shortest_path(net, mask);
+        if 2 * s.affected.len() > alive {
+            self.rebuild(net, mask, &mut s.heap);
             return RepairReport {
                 relaxed: 0,
                 full_rebuild: true,
             };
         }
 
-        for i in 0..n {
-            if affected[i] {
-                self.dist[i] = f64::INFINITY;
-                self.parent[i] = None;
-            }
+        for &(r, p) in &s.roots {
+            self.unlink(r, p);
         }
-        let mut heap = BinaryHeap::new();
+        for v in s.affected() {
+            self.dist[v] = f64::INFINITY;
+            self.parent[v] = NO_NODE;
+            self.first_child[v] = NO_NODE;
+        }
+        let flags = &mut s.flags;
+        let heap = &mut s.heap;
+        heap.clear();
         // Re-seed affected sink-neighbours exactly as the full build does.
-        self.seed_sink_neighbors(
-            net,
-            |s| affected[s] && mask.get(s).copied().unwrap_or(false),
-            &mut heap,
-        );
+        self.seed_sink_neighbors(net, |v| flags[v] & AFFECTED != 0 && mask[v], heap);
         // Frontier donors: clean, alive, routed neighbours of affected alive
         // nodes re-enter the heap at their final distances. Their own state
         // cannot improve (their distances are already shortest), but they
-        // re-relax the affected region in full-build pop order.
-        let mut seeded = vec![false; n];
-        for i in 0..n {
-            if !affected[i] || !mask[i] {
+        // re-relax the affected region in full-build pop order. Keys are
+        // unique per node, so the pop order does not depend on push order.
+        for i in s.affected.iter().map(|&i| i as usize) {
+            if !mask[i] {
                 continue;
             }
             for &u in net.neighbors(NodeId(i)) {
-                if affected[u.0] || seeded[u.0] || !mask[u.0] || !self.dist[u.0].is_finite() {
+                let u = u.0;
+                if flags[u] & (AFFECTED | DONOR) != 0 || !mask[u] || !self.dist[u].is_finite() {
                     continue;
                 }
-                seeded[u.0] = true;
-                heap.push(key(self.dist[u.0], u.0));
+                flags[u] |= DONOR;
+                s.donors.push(u);
+                heap.push(key(self.dist[u], u));
             }
         }
+        for &u in &s.donors {
+            flags[u] &= !DONOR;
+        }
+        s.donors.clear();
         // Relaxation budget: the affected-fraction gate above bounds the
         // *invalidated* region, but frontier donors can still blow the
         // re-relaxation up to a large multiple of it at scale (13.2M settles
@@ -314,20 +444,23 @@ impl RoutingTree {
         // semantic reference — so abandon the repair mid-relax; the rebuild
         // overwrites all distance/parent/reachability state wholesale. Each
         // non-stale pop settles a node at its final distance once, so
-        // `relaxed <= alive_count`: with the 4096 floor the budget can only
+        // `relaxed <= alive`: with the 4096 floor the budget can only
         // trigger above 4096 alive nodes, leaving the paper-scale figure
         // experiments (and their golden traces) untouched.
-        let budget = budget_override.unwrap_or_else(|| (alive_count / 2).max(4096));
-        let Some(relaxed) = self.settle(net, mask, &mut heap, budget) else {
-            *self = RoutingTree::shortest_path(net, mask);
+        let budget = budget_override.unwrap_or_else(|| (alive / 2).max(4096));
+        let Some(relaxed) = self.settle(net, mask, heap, budget) else {
+            self.rebuild(net, mask, heap);
             return RepairReport {
                 relaxed: 0,
                 full_rebuild: true,
             };
         };
-        for i in 0..n {
-            if affected[i] {
-                self.reachable[i] = self.dist[i].is_finite();
+        // Clean nodes keep their parents, so only affected nodes join a
+        // child list, and only affected nodes can have changed reachability.
+        for v in s.affected() {
+            self.reachable[v] = self.dist[v].is_finite();
+            if let Some(p) = self.up(v) {
+                self.link(v, p);
             }
         }
         #[cfg(debug_assertions)]
@@ -341,9 +474,19 @@ impl RoutingTree {
         }
     }
 
-    /// Exact (bitwise on distances) equality — the repair harness oracle.
+    /// Exact (bitwise on distances) equality — the repair harness oracle —
+    /// plus child lists that hold exactly the nodes naming each parent.
     #[cfg(debug_assertions)]
     fn bitwise_eq(&self, other: &RoutingTree) -> bool {
+        let mut listed = 0usize;
+        for v in 0..self.parent.len() {
+            for c in self.children(v) {
+                if self.up(c) != Some(v) || listed > self.parent.len() {
+                    return false;
+                }
+                listed += 1;
+            }
+        }
         self.parent == other.parent
             && self.reachable == other.reachable
             && self
@@ -351,12 +494,15 @@ impl RoutingTree {
                 .iter()
                 .zip(&other.dist)
                 .all(|(a, b)| a.to_bits() == b.to_bits())
+            && listed == self.parent.iter().filter(|&&p| p != NO_NODE).count()
     }
 
     /// Next hop of `id` toward the sink (`None` = delivers directly to the
     /// sink, or is unreachable — check [`RoutingTree::is_reachable`]).
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.parent.get(id.0).copied().flatten()
+        self.parent
+            .get(id.0)
+            .and_then(|&p| (p != NO_NODE).then_some(NodeId(p as usize)))
     }
 
     /// Shortest distance from `id` to the sink, metres (`INFINITY` if
@@ -402,6 +548,88 @@ pub struct RepairReport {
     pub full_rebuild: bool,
 }
 
+/// [`RepairScratch`] flag: the node is affected (dead or below a dead node).
+const AFFECTED: u8 = 1;
+/// [`RepairScratch`] flag: the node roots an affected subtree under a clean
+/// parent.
+const ROOT: u8 = 2;
+/// [`RepairScratch`] flag: the node was pushed as a frontier donor.
+const DONOR: u8 = 4;
+/// [`RepairScratch`] flag: the traffic delta recorded the node in
+/// `touched`.
+const TOUCHED: u8 = 8;
+
+/// Reusable buffers of the post-death refresh:
+/// [`RoutingTree::repair_after_deaths`] fills them and
+/// [`TrafficLoad::update_after_repair`] reads them. Per-node flags are
+/// cleared through the lists that set them, so a call costs what it
+/// touches, not O(n).
+#[derive(Debug, Clone, Default)]
+pub struct RepairScratch {
+    /// Per-node flag bits; zero except at nodes listed in `affected` or
+    /// `touched`.
+    flags: Vec<u8>,
+    /// The affected set: dead nodes and their descendants, in DFS order.
+    affected: Vec<u32>,
+    /// Each affected-subtree root that had a parent, with that parent.
+    roots: Vec<(usize, usize)>,
+    /// Whether every edge in or into the affected subtrees passed
+    /// [`RoutingTree::processed_before`] before the repair.
+    old_edges_ordered: bool,
+    /// DFS stack, then the breadth-first order of one affected tree.
+    stack: Vec<u32>,
+    /// Frontier donors of the current repair.
+    donors: Vec<usize>,
+    /// The Dijkstra heap of the repair and of its full-rebuild fallback.
+    heap: Heap,
+    /// Clean nodes on a changed parent chain, with their loads before the
+    /// change.
+    touched: Vec<(usize, f64, f64)>,
+    /// Nodes outside the affected set whose load bits changed.
+    changed: Vec<usize>,
+}
+
+impl RepairScratch {
+    /// Clears what the last call left, sized for `n` nodes.
+    fn reset(&mut self, n: usize) {
+        if self.flags.len() == n {
+            for &v in &self.affected {
+                self.flags[v as usize] = 0;
+            }
+            for &(v, _, _) in &self.touched {
+                self.flags[v] = 0;
+            }
+        } else {
+            self.flags.clear();
+            self.flags.resize(n, 0);
+        }
+        self.affected.clear();
+        self.roots.clear();
+        self.stack.clear();
+        self.touched.clear();
+        self.changed.clear();
+    }
+
+    /// The affected set of the last repair: the dead nodes plus their
+    /// routing-tree descendants before it.
+    fn affected(&self) -> impl Iterator<Item = usize> + '_ {
+        self.affected.iter().map(|&v| v as usize)
+    }
+
+    /// Whether node `i` is in the affected set of the last repair: a dead
+    /// node or one of its routing-tree descendants before it.
+    pub fn is_affected(&self, i: usize) -> bool {
+        self.flags.get(i).is_some_and(|f| f & AFFECTED != 0)
+    }
+
+    /// After [`TrafficLoad::update_after_repair`]: every node whose power
+    /// draw may have changed — the affected set plus each other node whose
+    /// load bits changed — each once.
+    pub fn dirty(&self) -> impl Iterator<Item = usize> + '_ {
+        self.affected().chain(self.changed.iter().copied())
+    }
+}
+
 /// Per-node traffic derived from a routing tree, bits per second.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrafficLoad {
@@ -409,6 +637,174 @@ pub struct TrafficLoad {
     pub rx_bps: Vec<f64>,
     /// Outbound traffic (own sensing + relayed) per node, b/s.
     pub tx_bps: Vec<f64>,
+}
+
+impl TrafficLoad {
+    /// Brings the load up to date after `tree.repair_after_deaths(…,
+    /// scratch)`, and lists in [`RepairScratch::dirty`] every node whose
+    /// power draw may have changed. The result is bitwise equal to
+    /// [`traffic_load`] over the repaired tree.
+    ///
+    /// When every sensing rate is a whole number and their total is below
+    /// 2^53 ([`Network::rate_sums_are_exact`]), each partial sum is an exact
+    /// integer, so summation order cannot change a bit and the load is
+    /// updated by delta in O(affected + chains):
+    ///
+    /// * each affected-subtree root's old `tx` comes off its old ancestor
+    ///   chain — clean nodes keep their parents, so that chain is still in
+    ///   the tree;
+    /// * the affected nodes are zeroed and their new forest is summed
+    ///   bottom-up over the child lists;
+    /// * each forest root's `tx` goes onto its new clean chain.
+    ///
+    /// The delta also needs [`traffic_load`]'s farthest-first pass to
+    /// handle every child it crosses before that child's parent, which only
+    /// a sub-ulp edge can break. Otherwise, or when the rates are not
+    /// exact, the load is recomputed in full and diffed against the old one,
+    /// in O(n log n).
+    pub fn update_after_repair(
+        &mut self,
+        net: &Network,
+        tree: &RoutingTree,
+        mask: &[bool],
+        scratch: &mut RepairScratch,
+    ) {
+        let s = scratch;
+        s.changed.clear();
+        if net.rate_sums_are_exact() && s.old_edges_ordered && self.apply_delta(net, tree, mask, s)
+        {
+            for &(i, rx, tx) in &s.touched {
+                if rx.to_bits() != self.rx_bps[i].to_bits()
+                    || tx.to_bits() != self.tx_bps[i].to_bits()
+                {
+                    s.changed.push(i);
+                }
+            }
+        } else {
+            for &(i, rx, tx) in &s.touched {
+                self.rx_bps[i] = rx;
+                self.tx_bps[i] = tx;
+            }
+            let full = traffic_load(net, tree, mask);
+            for i in 0..net.node_count() {
+                if s.flags[i] & AFFECTED == 0
+                    && (full.rx_bps[i].to_bits() != self.rx_bps[i].to_bits()
+                        || full.tx_bps[i].to_bits() != self.tx_bps[i].to_bits())
+                {
+                    s.changed.push(i);
+                }
+            }
+            *self = full;
+        }
+        #[cfg(debug_assertions)]
+        {
+            let full = traffic_load(net, tree, mask);
+            let same =
+                |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+            debug_assert!(
+                same(&self.rx_bps, &full.rx_bps) && same(&self.tx_bps, &full.tx_bps),
+                "in-place traffic update diverged from the full recomputation"
+            );
+        }
+    }
+
+    /// The delta of [`TrafficLoad::update_after_repair`]. Returns `false`
+    /// as soon as an edge fails [`RoutingTree::processed_before`]; the
+    /// caller then restores `touched` and recomputes in full.
+    fn apply_delta(
+        &mut self,
+        net: &Network,
+        tree: &RoutingTree,
+        mask: &[bool],
+        s: &mut RepairScratch,
+    ) -> bool {
+        for k in 0..s.roots.len() {
+            let (root, parent) = s.roots[k];
+            let amount = self.tx_bps[root];
+            if !self.add_along_chain(tree, parent, -amount, s) {
+                return false;
+            }
+        }
+        for v in s.affected() {
+            self.rx_bps[v] = 0.0;
+            self.tx_bps[v] = 0.0;
+        }
+        let rates = net.sensing_rates_bps();
+        for k in 0..s.affected.len() {
+            let root = s.affected[k] as usize;
+            let parent = tree.up(root);
+            // Forest roots: reachable affected nodes under a clean parent or
+            // the sink.
+            if !mask[root]
+                || !tree.reachable[root]
+                || parent.is_some_and(|p| s.flags[p] & AFFECTED != 0)
+            {
+                continue;
+            }
+            // Every child of an affected node is affected, so this forest
+            // holds only affected nodes. Children come after their parent
+            // in breadth-first order; sum in reverse.
+            s.stack.clear();
+            s.stack.push(root as u32);
+            let mut next = 0;
+            while next < s.stack.len() {
+                let v = s.stack[next] as usize;
+                next += 1;
+                for c in tree.children(v) {
+                    if !tree.processed_before(c, v) {
+                        return false;
+                    }
+                    s.stack.push(c as u32);
+                }
+            }
+            for v in s.stack.iter().rev().map(|&v| v as usize) {
+                self.tx_bps[v] += rates[v];
+                if v != root {
+                    let p = tree
+                        .up(v)
+                        .expect("a forest node below its root has a parent");
+                    self.rx_bps[p] += self.tx_bps[v];
+                    self.tx_bps[p] += self.tx_bps[v];
+                }
+            }
+            if let Some(p) = parent {
+                if !tree.processed_before(root, p)
+                    || !self.add_along_chain(tree, p, self.tx_bps[root], s)
+                {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Adds `amount` to `rx` and `tx` of `start` and each of its ancestors,
+    /// recording each node's load before its first change in `touched`.
+    /// Returns `false` at an edge failing
+    /// [`RoutingTree::processed_before`].
+    fn add_along_chain(
+        &mut self,
+        tree: &RoutingTree,
+        start: usize,
+        amount: f64,
+        s: &mut RepairScratch,
+    ) -> bool {
+        let mut v = start;
+        loop {
+            debug_assert_eq!(s.flags[v] & AFFECTED, 0, "chain node {v} is affected");
+            if s.flags[v] & TOUCHED == 0 {
+                s.flags[v] |= TOUCHED;
+                s.touched.push((v, self.rx_bps[v], self.tx_bps[v]));
+            }
+            self.rx_bps[v] += amount;
+            self.tx_bps[v] += amount;
+            match tree.up(v) {
+                Some(p) if tree.processed_before(v, p) => v = p,
+                Some(_) => return false,
+                None => return true,
+            }
+        }
+    }
 }
 
 /// Computes each node's steady-state traffic under `tree`.
@@ -571,8 +967,8 @@ mod tests {
         let mut mask = net.alive_mask();
         let mut tree = RoutingTree::shortest_path(&net, &mask);
         mask[3] = false;
-        let mut affected = Vec::new();
-        let report = tree.repair_after_deaths(&net, &mask, &[NodeId(3)], &mut affected);
+        let mut scratch = RepairScratch::default();
+        let report = tree.repair_after_deaths(&net, &mask, 4, &[NodeId(3)], &mut scratch);
         assert!(!report.full_rebuild, "small subtree should repair in place");
         let full = RoutingTree::shortest_path(&net, &mask);
         for i in 0..net.node_count() {
@@ -585,7 +981,9 @@ mod tests {
             );
         }
         // The dead node and its downstream subtree are the affected set.
-        assert_eq!(affected, vec![false, false, false, true, true]);
+        let mut affected: Vec<usize> = scratch.affected().collect();
+        affected.sort_unstable();
+        assert_eq!(affected, vec![3, 4]);
         assert!(!tree.is_reachable(NodeId(4)));
     }
 
@@ -605,8 +1003,8 @@ mod tests {
         let mut tree = RoutingTree::shortest_path(&net, &mask);
         assert_eq!(tree.parent(NodeId(2)), Some(NodeId(0)));
         mask[0] = false;
-        let mut affected = Vec::new();
-        let report = tree.repair_after_deaths(&net, &mask, &[NodeId(0)], &mut affected);
+        let mut scratch = RepairScratch::default();
+        let report = tree.repair_after_deaths(&net, &mask, 4, &[NodeId(0)], &mut scratch);
         assert!(!report.full_rebuild);
         assert!(report.relaxed > 0, "frontier donors must re-relax");
         let full = RoutingTree::shortest_path(&net, &mask);
@@ -637,9 +1035,9 @@ mod tests {
         let mut mask = net.alive_mask();
         let mut tree = RoutingTree::shortest_path(&net, &mask);
         mask[0] = false;
-        let mut affected = Vec::new();
+        let mut scratch = RepairScratch::default();
         let report =
-            tree.repair_after_deaths_budgeted(&net, &mask, &[NodeId(0)], &mut affected, Some(0));
+            tree.repair_after_deaths_budgeted(&net, &mask, 4, &[NodeId(0)], &mut scratch, Some(0));
         assert!(report.full_rebuild, "a zero budget must force the fallback");
         assert_eq!(report.relaxed, 0);
         let full = RoutingTree::shortest_path(&net, &mask);
@@ -662,9 +1060,84 @@ mod tests {
         let mut mask = net.alive_mask();
         let mut tree = RoutingTree::shortest_path(&net, &mask);
         mask[3] = false;
-        let mut affected = Vec::new();
-        let report = tree.repair_after_deaths(&net, &mask, &[NodeId(3)], &mut affected);
+        let mut scratch = RepairScratch::default();
+        let report = tree.repair_after_deaths(&net, &mask, 4, &[NodeId(3)], &mut scratch);
         assert!(!report.full_rebuild);
+    }
+
+    /// Kills `dead` in `tree` and refreshes `load` in place; returns the
+    /// scratch for inspection after checking the load against the full pass.
+    fn refresh(
+        net: &Network,
+        mask: &mut [bool],
+        tree: &mut RoutingTree,
+        load: &mut TrafficLoad,
+        dead: &[usize],
+    ) -> RepairScratch {
+        for &d in dead {
+            mask[d] = false;
+        }
+        let alive = mask.iter().filter(|&&a| a).count();
+        let ids: Vec<NodeId> = dead.iter().map(|&d| NodeId(d)).collect();
+        let mut scratch = RepairScratch::default();
+        tree.repair_after_deaths(net, mask, alive, &ids, &mut scratch);
+        load.update_after_repair(net, tree, mask, &mut scratch);
+        let full = traffic_load(net, tree, mask);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&load.rx_bps), bits(&full.rx_bps));
+        assert_eq!(bits(&load.tx_bps), bits(&full.tx_bps));
+        scratch
+    }
+
+    #[test]
+    fn tail_death_updates_the_load_by_delta() {
+        let net = path_net();
+        let mut mask = net.alive_mask();
+        let mut tree = RoutingTree::shortest_path(&net, &mask);
+        let mut load = traffic_load(&net, &tree, &mask);
+        let scratch = refresh(&net, &mut mask, &mut tree, &mut load, &[3]);
+        assert!(scratch.old_edges_ordered);
+        // The dead subtree {3, 4} leaves the chain 2 → 1 → 0, whose loads
+        // all drop: every touched node is dirty, and nothing else is.
+        let mut touched: Vec<usize> = scratch.touched.iter().map(|t| t.0).collect();
+        touched.sort_unstable();
+        assert_eq!(touched, vec![0, 1, 2]);
+        let mut dirty: Vec<usize> = scratch.dirty().collect();
+        dirty.sort_unstable();
+        assert_eq!(dirty, vec![0, 1, 2, 3, 4]);
+        let rate = net.sensing_rates_bps()[0];
+        assert_eq!(load.tx_bps[0], 3.0 * rate);
+        assert_eq!(load.tx_bps[4], 0.0);
+    }
+
+    #[test]
+    fn a_sub_ulp_inverted_edge_takes_the_full_recompute() {
+        // Node 2 sits 6e-14 m past node 1, so it routes through node 1 at
+        // node 1's exact distance (rounding hides the step) and has the
+        // higher id: the farthest-first pass handles node 1 first, and node
+        // 2's traffic never reaches node 0. A delta would subtract it from
+        // node 0 too, so the update must fall back to the full pass.
+        let (r, a) = (600.00000548, 700.692);
+        let nodes = vec![
+            SensorNode::new(Point::new(0.0, -a)),
+            SensorNode::new(Point::new(0.0, 0.0)),
+            SensorNode::new(Point::new(0.0, 6e-14)),
+        ];
+        let net = Network::build(nodes, Point::new(0.0, -a - r), 750.0);
+        let mut mask = net.alive_mask();
+        let mut tree = RoutingTree::shortest_path(&net, &mask);
+        assert_eq!(tree.parent(NodeId(2)), Some(NodeId(1)));
+        assert!(!tree.processed_before(2, 1));
+        let mut load = traffic_load(&net, &tree, &mask);
+        let before = load.clone();
+        let scratch = refresh(&net, &mut mask, &mut tree, &mut load, &[2]);
+        assert!(!scratch.old_edges_ordered);
+        // Node 0 never carried node 2's traffic, so only node 1's load and
+        // the dead node itself change.
+        assert_eq!(load.tx_bps[0].to_bits(), before.tx_bps[0].to_bits());
+        let mut dirty: Vec<usize> = scratch.dirty().collect();
+        dirty.sort_unstable();
+        assert_eq!(dirty, vec![1, 2]);
     }
 
     #[test]

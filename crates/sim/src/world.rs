@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use wrsn_net::energy::RadioEnergyModel;
 use wrsn_net::keynode;
 use wrsn_net::metrics::{self, HealthSnapshot};
-use wrsn_net::routing::{self, RoutingTree, TrafficLoad};
+use wrsn_net::routing::{self, RepairScratch, RoutingTree, TrafficLoad};
 use wrsn_net::{EnergyColumnsMut, Network, NetworkEncoder, NodeId};
 
 use crate::audit::{AuditConfig, AuditEncoder, AuditState, SessionObservation};
@@ -151,10 +151,11 @@ struct Scratch {
     /// Nodes whose warning-threshold status flipped in the current segment
     /// (ascending) — the only nodes whose request status can have changed.
     crossed: Vec<usize>,
-    /// Output buffer for [`RoutingTree::repair_after_deaths`].
-    affected: Vec<bool>,
-    /// Traffic load matching `World::tree`, kept so incremental refreshes can
-    /// diff loads instead of recomputing every node's power.
+    /// Reused buffers of [`RoutingTree::repair_after_deaths`] and
+    /// [`TrafficLoad::update_after_repair`].
+    repair: RepairScratch,
+    /// Traffic load matching `World::tree`, kept so a refresh updates it in
+    /// place and recomputes power only where it changed.
     load: TrafficLoad,
     /// Event horizon carried over from the last `advance` exit, keyed by the
     /// injection `(node, watts bits)` it was computed under. While no battery
@@ -174,7 +175,7 @@ impl Default for Scratch {
             drain_idx: Vec::new(),
             dead: Vec::new(),
             crossed: Vec::new(),
-            affected: Vec::new(),
+            repair: RepairScratch::default(),
             load: TrafficLoad {
                 rx_bps: Vec::new(),
                 tx_bps: Vec::new(),
@@ -552,7 +553,6 @@ impl World {
         self.scratch.alive.extend((0..n).map(|i| net.alive(i)));
         Self::rebuild_alive_idx(&self.scratch.alive, &mut self.scratch.alive_idx);
         self.scratch.net_w.resize(n, 0.0);
-        self.scratch.affected.resize(n, false);
     }
 
     /// Rebuilds all derived scratch state from the serialized fields.
@@ -598,44 +598,46 @@ impl World {
         }
         Self::rebuild_alive_idx(alive, alive_idx);
 
-        let mut affected = std::mem::take(&mut self.scratch.affected);
-        let dead = std::mem::take(&mut self.scratch.dead);
-        let report =
-            self.tree
-                .repair_after_deaths(&self.net, &self.scratch.alive, &dead, &mut affected);
+        let report = self.tree.repair_after_deaths(
+            &self.net,
+            &self.scratch.alive,
+            self.scratch.alive_idx.len(),
+            &self.scratch.dead,
+            &mut self.scratch.repair,
+        );
+        self.scratch.dead.clear();
         if report.full_rebuild {
             rec.add(Counter::RoutingFullBuilds, 1);
         } else {
             rec.add(Counter::RoutingRepairs, 1);
             rec.add(Counter::RoutingRepairRelaxed, report.relaxed as u64);
         }
-        // Traffic must be recomputed in full — its farthest-first ordering and
-        // float accumulation depend on every node's distance — but it is cheap
-        // next to a Dijkstra, and diffing it below limits power recomputation.
-        let load = routing::traffic_load(&self.net, &self.tree, &self.scratch.alive);
+        // Traffic is updated in place, by delta over the affected set and
+        // its parent chains when the sensing rates sum exactly, and diffed
+        // in full otherwise; either way the repair scratch then lists the
+        // nodes whose power inputs may have changed.
+        self.scratch.load.update_after_repair(
+            &self.net,
+            &self.tree,
+            &self.scratch.alive,
+            &mut self.scratch.repair,
+        );
         // Whether repaired incrementally or rebuilt, the tree is bitwise
-        // identical to a from-scratch build, so nodes outside the affected set
-        // with unchanged load keep bitwise-identical power entries.
+        // identical to a from-scratch build, so nodes outside the dirty set
+        // keep bitwise-identical power entries.
         let recomputed = keynode::update_effective_power(
             &self.net,
             &self.scratch.alive,
             &self.config.radio,
             &self.tree,
-            &load,
             &self.scratch.load,
-            &affected,
+            self.scratch.repair.dirty(),
             &mut self.power_w,
         );
         rec.add(
             Counter::PowerRecomputesSkipped,
             (self.net.node_count() - recomputed) as u64,
         );
-        self.scratch.load = load;
-        affected.clear();
-        self.scratch.affected = affected;
-        let mut dead = dead;
-        dead.clear();
-        self.scratch.dead = dead;
         #[cfg(debug_assertions)]
         {
             let full =

@@ -57,6 +57,13 @@ echo "== release key-node census proptest (vs. reference Brandes)"
 # one-node reference, and the whole census in ids, reasons and weight bits.
 cargo test --release -p wrsn-net --test keynode_census -q
 
+echo "== release routing-repair proptest (in-place tree, load and power vs. full recompute)"
+# Batches of simultaneous deaths, nested dead nodes, sink neighbours and a
+# fractional sensing rate: the repaired tree, the in-place traffic load and
+# the dirty-set power update must equal the full recomputation bit for bit,
+# in the release build the goldens and the benchmark run.
+cargo test --release -p wrsn-net --test routing_repair -q
+
 echo "== scale-smoke: 10k nodes, thread counts 1 and 8, identical traces"
 # Threading is a pure execution strategy: 10k nodes is above the 8192-node
 # gate of the threaded graph build, so the threaded build runs, and the
@@ -111,6 +118,18 @@ head -n 1 "$trace_file" | grep -q '^{"v":1,"record":{"Meta":' \
   || { echo "trace does not start with a versioned Meta record" >&2; exit 1; }
 tail -n 1 "$trace_file" | grep -q '"Counters"' \
   || { echo "trace does not end with a Counters record" >&2; exit 1; }
+
+echo "== trace-diff smoke: exit 0 on identical traces, 1 on a dropped line"
+cargo build --release --bin wrsn -q
+target/release/wrsn trace-diff "$trace_file" "$trace_file" >/dev/null \
+  || { echo "trace-diff of a trace against itself must exit 0" >&2; exit 1; }
+trace_dropped="$(mktemp)"
+sed '2d' "$trace_file" > "$trace_dropped"
+diff_status=0
+target/release/wrsn trace-diff "$trace_file" "$trace_dropped" >/dev/null || diff_status=$?
+rm -f "$trace_dropped"
+[ "$diff_status" -eq 1 ] \
+  || { echo "trace-diff against a copy with one line dropped exited $diff_status, not 1" >&2; exit 1; }
 
 echo "== checkpoint forensic-read smoke test"
 # A v1 checkpoint is one header line plus the world's JSON snapshot, so

@@ -5,13 +5,17 @@
 //! wrsn simulate --nodes 100 --seed 7 --policy edf --depot
 //! wrsn plan     --nodes 100 --seed 7            # dump the TIDE instance + CSA plan
 //! wrsn audit    --load run.json                 # offline forensics on a snapshot
+//! wrsn trace-diff a.jsonl b.jsonl               # first differing trace record
 //! ```
 //!
 //! `simulate` runs a scenario under a named charger policy and prints the
 //! report (optionally snapshotting the finished world to JSON); `plan` shows
 //! what the attacker would compute without executing anything; `audit`
 //! reloads a snapshot and runs every detector over it — the operator's
-//! incident-response workflow.
+//! incident-response workflow. `trace-diff` compares two JSONL traces
+//! (`exp --trace`) record by record: it prints the first record that differs
+//! and each side's record count per kind, and exits 0 when the traces are
+//! identical, 1 when they differ and 2 when either cannot be read.
 
 use std::process::ExitCode;
 
@@ -20,6 +24,7 @@ use wrsn::core::csa;
 use wrsn::core::detect::{self, FairnessAudit, PostMortemAudit};
 use wrsn::core::tide::TideInstance;
 use wrsn::scenario::Scenario;
+use wrsn::sim::obs::{self, TraceRecord};
 use wrsn::sim::{ChargerPolicy, IdlePolicy, World};
 
 const USAGE: &str = "\
@@ -28,6 +33,7 @@ usage:
                 [--horizon <seconds>] [--depot] [--save <world.json>]
   wrsn plan     --nodes <n> --seed <s>
   wrsn audit    --load <world.json> [--victims <n1,n2,...>]
+  wrsn trace-diff <a.jsonl> <b.jsonl>
   wrsn list-policies";
 
 #[derive(Debug, Default)]
@@ -230,12 +236,83 @@ fn audit(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The record kinds of a trace, in the order `trace-diff` reports them.
+const RECORD_KINDS: [&str; 6] = ["Meta", "Event", "Session", "Snapshot", "Fault", "Counters"];
+
+fn record_kind(record: &TraceRecord) -> usize {
+    match record {
+        TraceRecord::Meta { .. } => 0,
+        TraceRecord::Event { .. } => 1,
+        TraceRecord::Session { .. } => 2,
+        TraceRecord::Snapshot { .. } => 3,
+        TraceRecord::Fault { .. } => 4,
+        TraceRecord::Counters { .. } => 5,
+    }
+}
+
+/// One trace's lines, each checked to parse as a record, and its record
+/// count per kind.
+fn read_trace(path: &str) -> Result<(Vec<String>, [usize; 6]), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut counts = [0usize; 6];
+    let lines = text
+        .lines()
+        .enumerate()
+        .map(|(k, line)| {
+            let record =
+                obs::from_jsonl_line(line).map_err(|e| format!("{path}:{}: {}", k + 1, e.0))?;
+            counts[record_kind(&record)] += 1;
+            Ok(line.to_string())
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok((lines, counts))
+}
+
+/// `wrsn trace-diff`: `Ok(true)` when the traces are identical.
+fn trace_diff(args: &[String]) -> Result<bool, String> {
+    let [a, b] = args else {
+        return Err(format!("trace-diff takes two trace files\n{USAGE}"));
+    };
+    let (lines_a, counts_a) = read_trace(a)?;
+    let (lines_b, counts_b) = read_trace(b)?;
+    let first = (0..lines_a.len().max(lines_b.len())).find(|&k| lines_a.get(k) != lines_b.get(k));
+    match first {
+        None => println!("identical: {} records", lines_a.len()),
+        Some(k) => {
+            let side = |lines: &[String]| {
+                lines
+                    .get(k)
+                    .cloned()
+                    .unwrap_or_else(|| "(no record: the trace ends here)".to_string())
+            };
+            println!("first difference at line {}:", k + 1);
+            println!("< {}", side(&lines_a));
+            println!("> {}", side(&lines_b));
+        }
+    }
+    println!("{:<10} {:>10} {:>10}", "kind", "a", "b");
+    for (kind, (ca, cb)) in RECORD_KINDS.iter().zip(counts_a.iter().zip(&counts_b)) {
+        println!("{kind:<10} {ca:>10} {cb:>10}");
+    }
+    Ok(first.is_none())
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    if cmd == "trace-diff" {
+        return match trace_diff(rest) {
+            Ok(true) => ExitCode::SUCCESS,
+            Ok(false) => ExitCode::from(1),
+            Err(e) => {
+                eprintln!("error: {e}");
+                ExitCode::from(2)
+            }
+        };
+    }
     let result = match cmd.as_str() {
         "simulate" => parse(rest).and_then(|a| simulate(&a)),
         "plan" => parse(rest).and_then(|a| plan(&a)),
@@ -294,6 +371,39 @@ mod tests {
         assert!(parse(&argv("--bogus")).is_err());
         assert!(parse(&argv("--nodes")).is_err());
         assert!(parse(&argv("--nodes abc")).is_err());
+    }
+
+    #[test]
+    fn trace_diff_tells_identical_from_different_from_unreadable() {
+        let dir = std::env::temp_dir().join(format!("wrsn-trace-diff-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let records = [
+            TraceRecord::Meta {
+                schema: "wrsn-trace".to_string(),
+                scope: "t".to_string(),
+            },
+            TraceRecord::Counters {
+                scope: "t".to_string(),
+                counters: vec![("replans".to_string(), 3)],
+            },
+        ];
+        let lines: Vec<String> = records
+            .iter()
+            .map(|r| obs::to_jsonl_line(r).unwrap())
+            .collect();
+        let write = |name: &str, text: String| {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            path.to_string_lossy().into_owned()
+        };
+        let full = write("full.jsonl", lines.join("\n") + "\n");
+        let short = write("short.jsonl", lines[0].clone() + "\n");
+        let bad = write("bad.jsonl", "{not json\n".to_string());
+        assert_eq!(trace_diff(&[full.clone(), full.clone()]), Ok(true));
+        assert_eq!(trace_diff(&[full.clone(), short]), Ok(false));
+        assert!(trace_diff(&[full.clone(), bad]).is_err());
+        assert!(trace_diff(&[full]).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
