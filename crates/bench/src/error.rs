@@ -3,10 +3,9 @@
 //! The `exp` runner used to thread `Result<_, String>` everywhere, which
 //! flattened every failure into prose and lost the underlying cause. The
 //! variants here keep their sources ([`std::error::Error::source`] chains
-//! into [`parallel::WorkerError`] and [`wrsn::sim::SimError`]) so the runner
-//! can distinguish an unknown id from a worker timeout from a half-written
-//! manifest — and exit with a message that still reads exactly like the old
-//! one.
+//! into [`WorkerError`] and [`SimError`]) so the runner can distinguish an
+//! unknown id from a worker timeout from a half-written manifest — and exit
+//! with a message that still reads exactly like the old one.
 
 use std::fmt;
 use std::path::PathBuf;

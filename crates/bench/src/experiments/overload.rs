@@ -69,7 +69,7 @@ pub fn requests() -> usize {
 }
 
 /// The `k`-th request's payload: scenario seeds cycle so the burst carries
-/// duplicates of [`DISTINCT_SPECS`] distinct digests.
+/// duplicates of `DISTINCT_SPECS` distinct digests.
 pub fn payload(k: usize) -> Payload {
     Payload::Scenario(ScenarioSpec {
         nodes: NODES,

@@ -69,7 +69,7 @@ pub fn scenario(n: usize) -> Scenario {
 }
 
 /// TIDE config for size `n`: the scenario's config with key-node
-/// identification forced into approximate hub mode (~[`TARGET_HUBS`] hubs).
+/// identification forced into approximate hub mode (~`TARGET_HUBS` hubs).
 pub fn tide_config(n: usize) -> TideConfig {
     let scenario = scenario(n);
     TideConfig {

@@ -34,7 +34,8 @@
 //! incremental `progress` frames through the same reply channel before the
 //! final response. The reply channel doubles as the disconnect signal — when
 //! the client's connection writer goes away the channel closes, the next
-//! frame send fails, and the sink cancels the job's own [`CancelToken`], so
+//! frame send fails, and the sink cancels the job's own
+//! [`CancelToken`](wrsn::sim::CancelToken), so
 //! the engine unwinds at its next segment poll. A disconnected stream sends
 //! nothing further, saves nothing, and requeues its followers (their clients
 //! may still be alive). Followers and cache hits never stream: they are

@@ -26,7 +26,7 @@
 //!
 //! A naive greedy evaluates each candidate `(victim, position)` by rebuilding
 //! the whole timed route — O(n) distance computations per candidate, O(n⁴)
-//! overall. [`plan_with`] instead keeps an [`IncrementalRoute`] in the style
+//! overall. [`plan_with`] instead keeps an `IncrementalRoute` in the style
 //! of Solomon's insertion heuristics: forward prefixes (departure time and
 //! energy after the first `k` stops) plus backward latest-begin slacks make
 //! each candidate check O(1), with an O(n) refresh per *accepted* insertion.
@@ -34,7 +34,7 @@
 //! **bit-identical** to the naive greedy — the prefixes are exactly the left
 //! folds the naive code evaluates, so every comparison sees the very same
 //! floats. The only approximate ingredient, the backward slack, is used
-//! strictly outside a ±[`SLACK_GUARD_S`] guard band; inside the band the
+//! strictly outside a ±`SLACK_GUARD_S` guard band; inside the band the
 //! suffix is re-simulated forward, which is the naive check verbatim
 //! (`crates/core/tests/csa_bit_identity.rs` pins this equivalence down).
 

@@ -189,9 +189,9 @@ impl TideInstance {
     /// [`TideInstance::for_targets`] with the per-node power draw supplied by
     /// the caller instead of recomputed. The vector must come from the same
     /// drain model the simulator uses (`keynode::effective_power_draw` under
-    /// `config.radio`); a live [`crate::WorldView`] whose radio matches
-    /// `config.radio` provides exactly that, saving a full shortest-path
-    /// rebuild per replan.
+    /// `config.radio`); a live [`WorldView`](wrsn_sim::WorldView) whose
+    /// radio matches `config.radio` provides exactly that, saving a full
+    /// shortest-path rebuild per replan.
     pub fn for_targets_with_power(
         net: &Network,
         config: &TideConfig,

@@ -55,9 +55,6 @@ pub struct Network {
     sink: Point,
     comm_range_m: f64,
     topology: Arc<Topology>,
-    /// Derived from `sensing_rate_bps` at construction: see
-    /// [`Network::rate_sums_are_exact`].
-    exact_rate_sums: bool,
 }
 
 /// The immutable communication graph: a CSR adjacency with the Euclidean
@@ -467,7 +464,6 @@ impl Network {
             sink,
             comm_range_m,
             topology: Arc::new(topology),
-            exact_rate_sums: false,
         };
         for node in nodes {
             let (position, battery, sensing_rate_bps, failed) = node.into_parts();
@@ -479,14 +475,6 @@ impl Network {
             net.depleted.push(battery.is_depleted());
             net.failed.push(failed);
         }
-        // Non-negative whole numbers summing below 2^53: every partial sum
-        // is then an exact integer. A rounded f64 sum of non-negatives
-        // reaches 2^53 exactly when the true sum does.
-        net.exact_rate_sums = net
-            .sensing_rate_bps
-            .iter()
-            .all(|&r| r >= 0.0 && r.fract() == 0.0)
-            && net.sensing_rate_bps.iter().sum::<f64>() < (1u64 << 53) as f64;
         net
     }
 
@@ -503,15 +491,6 @@ impl Network {
             self.sensing_rate_bps[i],
             self.failed[i],
         )
-    }
-
-    /// Whether every sensing rate is a non-negative whole number and their
-    /// total is below 2^53. Then any sum of rates is exact in any order,
-    /// which lets routing update traffic loads by delta
-    /// ([`crate::routing::TrafficLoad::update_after_repair`]). A property
-    /// of the input, fixed at construction.
-    pub fn rate_sums_are_exact(&self) -> bool {
-        self.exact_rate_sums
     }
 
     /// Number of nodes.

@@ -306,18 +306,11 @@ fn identify_approx(
     out
 }
 
-/// Steady-state power draw (W) of each node — convenience wrapper combining
-/// the routing tree, traffic load and radio model. The attacker uses this to
-/// predict each victim's depletion deadline.
-pub fn power_draw(net: &Network, mask: &[bool], radio: &RadioEnergyModel) -> Vec<f64> {
-    let tree = RoutingTree::shortest_path(net, mask);
-    let load = routing::traffic_load(net, &tree, mask);
-    routing::node_power(net, &tree, &load, radio, mask)
-}
-
-/// [`power_draw`] with the *disconnected-drain floor*: alive nodes that
-/// cannot reach the sink still idle-listen and beacon their sensed data at
-/// full range looking for a route, so they drain
+/// Steady-state power draw (W) of each node under `mask`: relay power over
+/// the hop to its parent (or the sink) for routed nodes, nothing for
+/// masked-out ones, and the *disconnected-drain floor* for alive nodes
+/// that cannot reach the sink. Those still idle-listen and beacon their
+/// sensed data at full range looking for a route, so they drain
 /// `idle + tx(sensing_rate, comm_range)` rather than nothing. This is the
 /// drain model the simulator itself uses; depletion predictions (and the
 /// attack's time windows) must match it, or stranded key nodes become
@@ -499,7 +492,7 @@ mod tests {
     fn power_draw_positive_for_reachable_nodes() {
         let net = corridor_net();
         let mask = net.alive_mask();
-        let power = power_draw(&net, &mask, &RadioEnergyModel::classical());
+        let power = effective_power_draw(&net, &mask, &RadioEnergyModel::classical());
         let tree = RoutingTree::shortest_path(&net, &mask);
         for id in net.ids() {
             if tree.is_reachable(id) {

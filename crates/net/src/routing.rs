@@ -2,15 +2,15 @@
 //!
 //! Nodes route sensed data to the sink along a shortest-path tree (Euclidean
 //! edge weights, computed with a virtual sink source). The tree determines
-//! each node's relayed traffic, and with the radio model, its *power draw* —
-//! which is what the attacker needs to predict when each victim will die.
+//! each node's relayed traffic, which the radio model turns into its *power
+//! draw* (`keynode::effective_power_draw`) — what the attacker needs to
+//! predict when each victim will die.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::energy::RadioEnergyModel;
 use crate::graph::Network;
 use crate::node::NodeId;
 
@@ -197,10 +197,23 @@ impl RoutingTree {
         (p != NO_NODE).then_some(p as usize)
     }
 
-    /// Prepends `v` to the child list of `p`.
+    /// Inserts `v` into the child list of `p` at its place in ascending id
+    /// order, in O(children of `p`). Keeping every list sorted makes the
+    /// lists of a repaired, a freshly built and a deserialized tree equal.
     fn link(&mut self, v: usize, p: usize) {
-        self.next_sibling[v] = self.first_child[p];
-        self.first_child[p] = v as u32;
+        let v32 = v as u32;
+        let head = self.first_child[p];
+        if head == NO_NODE || head > v32 {
+            self.next_sibling[v] = head;
+            self.first_child[p] = v32;
+            return;
+        }
+        let mut c = head as usize;
+        while self.next_sibling[c] < v32 {
+            c = self.next_sibling[c] as usize;
+        }
+        self.next_sibling[v] = self.next_sibling[c];
+        self.next_sibling[c] = v32;
     }
 
     /// Removes `v` from the child list of `p`, in O(children of `p`).
@@ -232,15 +245,6 @@ impl RoutingTree {
                 child
             })
         })
-    }
-
-    /// Whether [`traffic_load`]'s farthest-first pass handles `c` before its
-    /// parent `p`. Only then does `c`'s traffic reach `p`'s ancestors, so an
-    /// edge failing this (a child at its parent's exact distance with a
-    /// higher id, which takes a sub-ulp edge) makes the loads non-additive.
-    fn processed_before(&self, c: usize, p: usize) -> bool {
-        let (dc, dp) = (self.dist[c].to_bits(), self.dist[p].to_bits());
-        dc > dp || (dc == dp && c < p)
     }
 
     /// Pushes every sink neighbour `s` with `include(s)` at its direct
@@ -355,7 +359,6 @@ impl RoutingTree {
 
         // Affected = dead ∪ descendants, by a DFS over the child lists. A
         // dead node below another dead node is reached once, from either.
-        let mut ordered = true;
         for &NodeId(d) in dead {
             if d >= n || s.flags[d] & AFFECTED != 0 {
                 continue;
@@ -366,7 +369,6 @@ impl RoutingTree {
             while let Some(v) = s.stack.pop() {
                 let v = v as usize;
                 for c in self.children(v) {
-                    ordered &= self.processed_before(c, v);
                     if s.flags[c] & AFFECTED == 0 {
                         s.flags[c] |= AFFECTED;
                         s.affected.push(c as u32);
@@ -385,10 +387,8 @@ impl RoutingTree {
             if s.flags[p] & AFFECTED == 0 && s.flags[d] & ROOT == 0 {
                 s.flags[d] |= ROOT;
                 s.roots.push((d, p));
-                ordered &= self.processed_before(d, p);
             }
         }
-        s.old_edges_ordered = ordered;
 
         // A death that guts most of the tree is repaired fastest by simply
         // rebuilding; the result is identical either way.
@@ -407,6 +407,7 @@ impl RoutingTree {
             self.dist[v] = f64::INFINITY;
             self.parent[v] = NO_NODE;
             self.first_child[v] = NO_NODE;
+            self.next_sibling[v] = NO_NODE;
         }
         let flags = &mut s.flags;
         let heap = &mut s.heap;
@@ -475,18 +476,9 @@ impl RoutingTree {
     }
 
     /// Exact (bitwise on distances) equality — the repair harness oracle —
-    /// plus child lists that hold exactly the nodes naming each parent.
+    /// including the child lists, which are canonical (ascending ids).
     #[cfg(debug_assertions)]
     fn bitwise_eq(&self, other: &RoutingTree) -> bool {
-        let mut listed = 0usize;
-        for v in 0..self.parent.len() {
-            for c in self.children(v) {
-                if self.up(c) != Some(v) || listed > self.parent.len() {
-                    return false;
-                }
-                listed += 1;
-            }
-        }
         self.parent == other.parent
             && self.reachable == other.reachable
             && self
@@ -494,7 +486,8 @@ impl RoutingTree {
                 .iter()
                 .zip(&other.dist)
                 .all(|(a, b)| a.to_bits() == b.to_bits())
-            && listed == self.parent.iter().filter(|&&p| p != NO_NODE).count()
+            && self.first_child == other.first_child
+            && self.next_sibling == other.next_sibling
     }
 
     /// Next hop of `id` toward the sink (`None` = delivers directly to the
@@ -555,7 +548,7 @@ const AFFECTED: u8 = 1;
 const ROOT: u8 = 2;
 /// [`RepairScratch`] flag: the node was pushed as a frontier donor.
 const DONOR: u8 = 4;
-/// [`RepairScratch`] flag: the traffic delta recorded the node in
+/// [`RepairScratch`] flag: the traffic update recorded the node in
 /// `touched`.
 const TOUCHED: u8 = 8;
 
@@ -573,10 +566,7 @@ pub struct RepairScratch {
     affected: Vec<u32>,
     /// Each affected-subtree root that had a parent, with that parent.
     roots: Vec<(usize, usize)>,
-    /// Whether every edge in or into the affected subtrees passed
-    /// [`RoutingTree::processed_before`] before the repair.
-    old_edges_ordered: bool,
-    /// DFS stack, then the breadth-first order of one affected tree.
+    /// DFS stack, then the breadth-first order of the new affected forests.
     stack: Vec<u32>,
     /// Frontier donors of the current repair.
     donors: Vec<usize>,
@@ -643,25 +633,19 @@ impl TrafficLoad {
     /// Brings the load up to date after `tree.repair_after_deaths(…,
     /// scratch)`, and lists in [`RepairScratch::dirty`] every node whose
     /// power draw may have changed. The result is bitwise equal to
-    /// [`traffic_load`] over the repaired tree.
+    /// [`traffic_load`] over the repaired tree, whatever the sensing rates.
     ///
-    /// When every sensing rate is a whole number and their total is below
-    /// 2^53 ([`Network::rate_sums_are_exact`]), each partial sum is an exact
-    /// integer, so summation order cannot change a bit and the load is
-    /// updated by delta in O(affected + chains):
+    /// Each node's load is a function of its children's, so only two kinds
+    /// of node can change:
     ///
-    /// * each affected-subtree root's old `tx` comes off its old ancestor
-    ///   chain — clean nodes keep their parents, so that chain is still in
-    ///   the tree;
-    /// * the affected nodes are zeroed and their new forest is summed
-    ///   bottom-up over the child lists;
-    /// * each forest root's `tx` goes onto its new clean chain.
+    /// * the affected nodes, zeroed and then re-summed bottom-up over their
+    ///   new forests (every child of an affected node is affected);
+    /// * the clean ancestors of each affected subtree's old parent and of
+    ///   each new forest root: clean nodes keep their parents, so these
+    ///   chains to the sink are all the rest that can change. Their union
+    ///   is re-summed children first, each node once.
     ///
-    /// The delta also needs [`traffic_load`]'s farthest-first pass to
-    /// handle every child it crosses before that child's parent, which only
-    /// a sub-ulp edge can break. Otherwise, or when the rates are not
-    /// exact, the load is recomputed in full and diffed against the old one,
-    /// in O(n log n).
+    /// Cost: O((affected + chain nodes) × their children), never O(n).
     pub fn update_after_repair(
         &mut self,
         net: &Network,
@@ -670,31 +654,39 @@ impl TrafficLoad {
         scratch: &mut RepairScratch,
     ) {
         let s = scratch;
-        s.changed.clear();
-        if net.rate_sums_are_exact() && s.old_edges_ordered && self.apply_delta(net, tree, mask, s)
-        {
-            for &(i, rx, tx) in &s.touched {
-                if rx.to_bits() != self.rx_bps[i].to_bits()
-                    || tx.to_bits() != self.tx_bps[i].to_bits()
-                {
-                    s.changed.push(i);
-                }
+        for v in s.affected() {
+            self.rx_bps[v] = 0.0;
+            self.tx_bps[v] = 0.0;
+        }
+        // Forest roots: routed affected nodes under a clean parent or the
+        // sink.
+        let flags = &s.flags;
+        s.stack.clear();
+        s.stack.extend(s.affected.iter().copied().filter(|&v| {
+            let v = v as usize;
+            routed(tree, mask, v) && tree.up(v).is_none_or(|p| flags[p] & AFFECTED == 0)
+        }));
+        let forest_roots = s.stack.len();
+        self.resum_subtrees(net, tree, mask, &mut s.stack);
+        for k in 0..s.roots.len() {
+            self.record_chain(tree, s.roots[k].1, s);
+        }
+        for k in 0..forest_roots {
+            if let Some(p) = tree.up(s.stack[k] as usize) {
+                self.record_chain(tree, p, s);
             }
-        } else {
-            for &(i, rx, tx) in &s.touched {
-                self.rx_bps[i] = rx;
-                self.tx_bps[i] = tx;
+        }
+        // Each chain is stored sink-first and ends below a node of an
+        // earlier chain (or at the sink), so in reverse every node comes
+        // after all of its recorded children.
+        for k in (0..s.touched.len()).rev() {
+            self.resum(net, tree, mask, s.touched[k].0);
+        }
+        for &(i, rx, tx) in &s.touched {
+            if rx.to_bits() != self.rx_bps[i].to_bits() || tx.to_bits() != self.tx_bps[i].to_bits()
+            {
+                s.changed.push(i);
             }
-            let full = traffic_load(net, tree, mask);
-            for i in 0..net.node_count() {
-                if s.flags[i] & AFFECTED == 0
-                    && (full.rx_bps[i].to_bits() != self.rx_bps[i].to_bits()
-                        || full.tx_bps[i].to_bits() != self.tx_bps[i].to_bits())
-                {
-                    s.changed.push(i);
-                }
-            }
-            *self = full;
         }
         #[cfg(debug_assertions)]
         {
@@ -708,162 +700,83 @@ impl TrafficLoad {
         }
     }
 
-    /// The delta of [`TrafficLoad::update_after_repair`]. Returns `false`
-    /// as soon as an edge fails [`RoutingTree::processed_before`]; the
-    /// caller then restores `touched` and recomputes in full.
-    fn apply_delta(
+    /// Sets `v`'s load from its children's: `rx` sums their `tx` in
+    /// ascending id order, and `tx` adds `v`'s own sensing rate. A node
+    /// that is masked out or cannot reach the sink carries nothing.
+    fn resum(&mut self, net: &Network, tree: &RoutingTree, mask: &[bool], v: usize) {
+        let (rx, tx) = if routed(tree, mask, v) {
+            let rx = tree.children(v).fold(0.0, |sum, c| sum + self.tx_bps[c]);
+            (rx, rx + net.sensing_rates_bps()[v])
+        } else {
+            (0.0, 0.0)
+        };
+        self.rx_bps[v] = rx;
+        self.tx_bps[v] = tx;
+    }
+
+    /// Extends `order`, which holds tree roots, breadth-first over their
+    /// subtrees, then re-sums every node in reverse, so that each child is
+    /// final before its parent.
+    fn resum_subtrees(
         &mut self,
         net: &Network,
         tree: &RoutingTree,
         mask: &[bool],
-        s: &mut RepairScratch,
-    ) -> bool {
-        for k in 0..s.roots.len() {
-            let (root, parent) = s.roots[k];
-            let amount = self.tx_bps[root];
-            if !self.add_along_chain(tree, parent, -amount, s) {
-                return false;
-            }
+        order: &mut Vec<u32>,
+    ) {
+        let mut next = 0;
+        while let Some(&v) = order.get(next) {
+            next += 1;
+            order.extend(tree.children(v as usize).map(|c| c as u32));
         }
-        for v in s.affected() {
-            self.rx_bps[v] = 0.0;
-            self.tx_bps[v] = 0.0;
+        for &v in order.iter().rev() {
+            self.resum(net, tree, mask, v as usize);
         }
-        let rates = net.sensing_rates_bps();
-        for k in 0..s.affected.len() {
-            let root = s.affected[k] as usize;
-            let parent = tree.up(root);
-            // Forest roots: reachable affected nodes under a clean parent or
-            // the sink.
-            if !mask[root]
-                || !tree.reachable[root]
-                || parent.is_some_and(|p| s.flags[p] & AFFECTED != 0)
-            {
-                continue;
-            }
-            // Every child of an affected node is affected, so this forest
-            // holds only affected nodes. Children come after their parent
-            // in breadth-first order; sum in reverse.
-            s.stack.clear();
-            s.stack.push(root as u32);
-            let mut next = 0;
-            while next < s.stack.len() {
-                let v = s.stack[next] as usize;
-                next += 1;
-                for c in tree.children(v) {
-                    if !tree.processed_before(c, v) {
-                        return false;
-                    }
-                    s.stack.push(c as u32);
-                }
-            }
-            for v in s.stack.iter().rev().map(|&v| v as usize) {
-                self.tx_bps[v] += rates[v];
-                if v != root {
-                    let p = tree
-                        .up(v)
-                        .expect("a forest node below its root has a parent");
-                    self.rx_bps[p] += self.tx_bps[v];
-                    self.tx_bps[p] += self.tx_bps[v];
-                }
-            }
-            if let Some(p) = parent {
-                if !tree.processed_before(root, p)
-                    || !self.add_along_chain(tree, p, self.tx_bps[root], s)
-                {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
-    /// Adds `amount` to `rx` and `tx` of `start` and each of its ancestors,
-    /// recording each node's load before its first change in `touched`.
-    /// Returns `false` at an edge failing
-    /// [`RoutingTree::processed_before`].
-    fn add_along_chain(
-        &mut self,
-        tree: &RoutingTree,
-        start: usize,
-        amount: f64,
-        s: &mut RepairScratch,
-    ) -> bool {
-        let mut v = start;
-        loop {
+    /// Records in `touched`, with its load before the update, `start` and
+    /// each of its ancestors up to the first one already recorded, and
+    /// stores this chain sink-first.
+    fn record_chain(&self, tree: &RoutingTree, start: usize, s: &mut RepairScratch) {
+        let first = s.touched.len();
+        let mut next = Some(start);
+        while let Some(v) = next {
             debug_assert_eq!(s.flags[v] & AFFECTED, 0, "chain node {v} is affected");
-            if s.flags[v] & TOUCHED == 0 {
-                s.flags[v] |= TOUCHED;
-                s.touched.push((v, self.rx_bps[v], self.tx_bps[v]));
+            if s.flags[v] & TOUCHED != 0 {
+                break;
             }
-            self.rx_bps[v] += amount;
-            self.tx_bps[v] += amount;
-            match tree.up(v) {
-                Some(p) if tree.processed_before(v, p) => v = p,
-                Some(_) => return false,
-                None => return true,
-            }
+            s.flags[v] |= TOUCHED;
+            s.touched.push((v, self.rx_bps[v], self.tx_bps[v]));
+            next = tree.up(v);
         }
+        s.touched[first..].reverse();
     }
 }
 
-/// Computes each node's steady-state traffic under `tree`.
+/// Whether `v` is masked in and can reach the sink under `tree`.
+fn routed(tree: &RoutingTree, mask: &[bool], v: usize) -> bool {
+    mask.get(v).copied().unwrap_or(false) && tree.reachable[v]
+}
+
+/// Computes each node's steady-state traffic under `tree`: a node sends its
+/// own sensing rate plus everything its children send. One breadth-first
+/// pass from the nodes that deliver to the sink, summed in reverse: O(n).
 ///
 /// Unreachable or masked-out nodes carry no traffic.
 pub fn traffic_load(net: &Network, tree: &RoutingTree, mask: &[bool]) -> TrafficLoad {
     let n = net.node_count();
-    let mut rx = vec![0.0; n];
-    let mut tx = vec![0.0; n];
-
-    // Process nodes farthest-first so children are accumulated before
-    // parents, ties by ascending id. Reachable distances are finite and
-    // non-negative, so `!dist.to_bits()` orders them farthest-first.
-    let mut order: Vec<(u64, usize)> = (0..n)
-        .filter(|&i| mask.get(i).copied().unwrap_or(false) && tree.is_reachable(NodeId(i)))
-        .map(|i| (!tree.dist[i].to_bits(), i))
-        .collect();
-    order.sort_unstable();
-    for &(_, i) in &order {
-        tx[i] += net.sensing_rates_bps()[i];
-        if let Some(p) = tree.parent(NodeId(i)) {
-            rx[p.0] += tx[i];
-            tx[p.0] += tx[i];
-        }
-    }
-    TrafficLoad {
-        rx_bps: rx,
-        tx_bps: tx,
-    }
-}
-
-/// Steady-state power draw of every node (W): relay traffic over the hop to
-/// its parent (or the sink for sink-adjacent nodes) plus idle power.
-///
-/// Dead/unreachable nodes draw nothing (their radios are down or they have
-/// nothing to send — the conservative choice for lifetime estimates is made
-/// in `wrsn-sim`, which still drains idle power from alive-but-disconnected
-/// nodes).
-#[allow(clippy::needless_range_loop)] // index form mirrors the matrix math
-pub fn node_power(
-    net: &Network,
-    tree: &RoutingTree,
-    load: &TrafficLoad,
-    radio: &RadioEnergyModel,
-    mask: &[bool],
-) -> Vec<f64> {
-    let n = net.node_count();
-    let mut out = vec![0.0; n];
-    for i in 0..n {
-        if !mask.get(i).copied().unwrap_or(false) || !tree.is_reachable(NodeId(i)) {
-            continue;
-        }
-        let hop = match tree.parent(NodeId(i)) {
-            Some(p) => net.positions()[i].distance(net.positions()[p.0]),
-            None => net.positions()[i].distance(net.sink()),
-        };
-        out[i] = radio.relay_power(load.rx_bps[i], load.tx_bps[i], hop);
-    }
-    out
+    let mut load = TrafficLoad {
+        rx_bps: vec![0.0; n],
+        tx_bps: vec![0.0; n],
+    };
+    let mut order = Vec::with_capacity(n);
+    order.extend(
+        (0..n)
+            .filter(|&v| routed(tree, mask, v) && tree.up(v).is_none())
+            .map(|v| v as u32),
+    );
+    load.resum_subtrees(net, tree, mask, &mut order);
+    load
 }
 
 /// Dijkstra's min-heap of `(distance bits, node)` keys.
@@ -880,7 +793,9 @@ fn key(d: f64, v: usize) -> Reverse<(u64, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::energy::RadioEnergyModel;
     use crate::geom::Point;
+    use crate::keynode::effective_power_draw;
     use crate::node::SensorNode;
 
     /// Path 0-1-2-3-4 with sink next to node 0.
@@ -948,9 +863,7 @@ mod tests {
     fn sink_adjacent_node_burns_most_power() {
         let net = path_net();
         let mask = net.alive_mask();
-        let tree = RoutingTree::shortest_path(&net, &mask);
-        let load = traffic_load(&net, &tree, &mask);
-        let power = node_power(&net, &tree, &load, &RadioEnergyModel::classical(), &mask);
+        let power = effective_power_draw(&net, &mask, &RadioEnergyModel::classical());
         let max = power
             .iter()
             .enumerate()
@@ -1090,15 +1003,15 @@ mod tests {
     }
 
     #[test]
-    fn tail_death_updates_the_load_by_delta() {
+    fn tail_death_updates_the_load_in_place() {
         let net = path_net();
         let mut mask = net.alive_mask();
         let mut tree = RoutingTree::shortest_path(&net, &mask);
         let mut load = traffic_load(&net, &tree, &mask);
         let scratch = refresh(&net, &mut mask, &mut tree, &mut load, &[3]);
-        assert!(scratch.old_edges_ordered);
-        // The dead subtree {3, 4} leaves the chain 2 → 1 → 0, whose loads
-        // all drop: every touched node is dirty, and nothing else is.
+        // The dead subtree {3, 4} leaves the chain 2 → 1 → 0, which is
+        // re-summed and whose loads all drop: every touched node is dirty,
+        // and nothing else is.
         let mut touched: Vec<usize> = scratch.touched.iter().map(|t| t.0).collect();
         touched.sort_unstable();
         assert_eq!(touched, vec![0, 1, 2]);
@@ -1111,12 +1024,12 @@ mod tests {
     }
 
     #[test]
-    fn a_sub_ulp_inverted_edge_takes_the_full_recompute() {
+    fn a_sub_ulp_edge_conserves_traffic() {
         // Node 2 sits 6e-14 m past node 1, so it routes through node 1 at
-        // node 1's exact distance (rounding hides the step) and has the
-        // higher id: the farthest-first pass handles node 1 first, and node
-        // 2's traffic never reaches node 0. A delta would subtract it from
-        // node 0 too, so the update must fall back to the full pass.
+        // node 1's exact distance (rounding hides the step). A load summed
+        // in distance order would meet node 2 after node 1 and lose its
+        // traffic above node 1; summed over the child lists it reaches the
+        // sink whatever the distances say.
         let (r, a) = (600.00000548, 700.692);
         let nodes = vec![
             SensorNode::new(Point::new(0.0, -a)),
@@ -1127,17 +1040,25 @@ mod tests {
         let mut mask = net.alive_mask();
         let mut tree = RoutingTree::shortest_path(&net, &mask);
         assert_eq!(tree.parent(NodeId(2)), Some(NodeId(1)));
-        assert!(!tree.processed_before(2, 1));
+        assert_eq!(
+            tree.dist_to_sink(NodeId(2)).to_bits(),
+            tree.dist_to_sink(NodeId(1)).to_bits()
+        );
+        let rate = net.sensing_rates_bps()[0];
         let mut load = traffic_load(&net, &tree, &mask);
+        assert_eq!(
+            load.tx_bps[0],
+            3.0 * rate,
+            "node 0 carries node 2's traffic"
+        );
         let before = load.clone();
+        // `refresh` checks the in-place update against the full pass.
         let scratch = refresh(&net, &mut mask, &mut tree, &mut load, &[2]);
-        assert!(!scratch.old_edges_ordered);
-        // Node 0 never carried node 2's traffic, so only node 1's load and
-        // the dead node itself change.
-        assert_eq!(load.tx_bps[0].to_bits(), before.tx_bps[0].to_bits());
+        assert_eq!(load.tx_bps[0], before.tx_bps[0] - rate);
+        assert_eq!(load.tx_bps[1], rate);
         let mut dirty: Vec<usize> = scratch.dirty().collect();
         dirty.sort_unstable();
-        assert_eq!(dirty, vec![1, 2]);
+        assert_eq!(dirty, vec![0, 1, 2]);
     }
 
     #[test]
@@ -1147,11 +1068,14 @@ mod tests {
         mask[2] = false;
         let tree = RoutingTree::shortest_path(&net, &mask);
         let load = traffic_load(&net, &tree, &mask);
-        let power = node_power(&net, &tree, &load, &RadioEnergyModel::classical(), &mask);
+        let radio = RadioEnergyModel::classical();
+        let power = effective_power_draw(&net, &mask, &radio);
         assert_eq!(load.tx_bps[2], 0.0);
         assert_eq!(power[2], 0.0);
-        // Downstream nodes are cut off, so they carry no deliverable traffic.
+        // Downstream nodes are cut off, so they carry no deliverable traffic
+        // and drain only the disconnected floor while they look for a route.
         assert_eq!(load.tx_bps[3], 0.0);
-        assert_eq!(power[3], 0.0);
+        let floor = radio.idle_w + radio.tx_energy(net.sensing_rates_bps()[3], net.comm_range());
+        assert_eq!(power[3], floor);
     }
 }

@@ -51,7 +51,7 @@ impl Serialize for RequestQueue {
 
 impl Deserialize for RequestQueue {
     /// Trusts node ids up to `usize::MAX`; a [`World`](crate::World) load
-    /// bounds them by its network with [`RequestQueue::from_value_within`].
+    /// bounds them by its network with `RequestQueue::from_value_within`.
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         RequestQueue::from_value_within(value, usize::MAX)
     }

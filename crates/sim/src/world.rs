@@ -612,10 +612,9 @@ impl World {
             rec.add(Counter::RoutingRepairs, 1);
             rec.add(Counter::RoutingRepairRelaxed, report.relaxed as u64);
         }
-        // Traffic is updated in place, by delta over the affected set and
-        // its parent chains when the sensing rates sum exactly, and diffed
-        // in full otherwise; either way the repair scratch then lists the
-        // nodes whose power inputs may have changed.
+        // Traffic is re-summed in place over the affected set and the parent
+        // chains above it; the repair scratch then lists the nodes whose
+        // power inputs may have changed.
         self.scratch.load.update_after_repair(
             &self.net,
             &self.tree,

@@ -10,6 +10,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (deny warnings: broken and private doc links)"
+# The workspace crates only; the vendored stand-ins under vendor/ stay out.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p wrsn -p wrsn-em -p wrsn-net \
+  -p wrsn-sim -p wrsn-charge -p wrsn-core -p wrsn-testbed -p wrsn-bench
+
 echo "== cargo test"
 cargo test --workspace -q
 
@@ -58,9 +63,11 @@ echo "== release key-node census proptest (vs. reference Brandes)"
 cargo test --release -p wrsn-net --test keynode_census -q
 
 echo "== release routing-repair proptest (in-place tree, load and power vs. full recompute)"
-# Batches of simultaneous deaths, nested dead nodes, sink neighbours and a
-# fractional sensing rate: the repaired tree, the in-place traffic load and
-# the dirty-set power update must equal the full recomputation bit for bit,
+# Batches of simultaneous deaths, nested dead nodes, sink neighbours,
+# coincident and sub-ulp-offset node pairs, and non-dyadic sensing rates:
+# the repaired tree (child lists included, which fix the order loads are
+# summed in), the in-place traffic load and the dirty-set power update must
+# equal a fresh build bit for bit, and whole-rate loads must be conserved,
 # in the release build the goldens and the benchmark run.
 cargo test --release -p wrsn-net --test routing_repair -q
 
