@@ -144,7 +144,7 @@ impl Manifest {
     /// [`BenchError::Manifest`] when serialization or the atomic write fails.
     pub fn save(&self, out_dir: &Path) -> Result<(), BenchError> {
         let path = Manifest::path(out_dir);
-        let text = serde_json::to_string(&self.to_value()).map_err(|e| BenchError::Manifest {
+        let text = serde_json::to_string(self).map_err(|e| BenchError::Manifest {
             path: path.clone(),
             detail: format!("cannot serialize: {}", e.0),
         })?;
@@ -233,7 +233,7 @@ pub fn artifact_path(out_dir: &Path, id: &str) -> PathBuf {
 /// [`BenchError::Manifest`] when serialization or the write fails.
 pub fn save_artifact(out_dir: &Path, output: &StoredOutput) -> Result<String, BenchError> {
     let path = artifact_path(out_dir, &output.id);
-    let text = serde_json::to_string(&output.to_value()).map_err(|e| BenchError::Manifest {
+    let text = serde_json::to_string(output).map_err(|e| BenchError::Manifest {
         path: path.clone(),
         detail: format!("cannot serialize artifact: {}", e.0),
     })?;

@@ -35,7 +35,7 @@ use serde::{Serialize, Value};
 use wrsn::core::attack::{evaluate_attack, CsaAttackPolicy};
 use wrsn::scenario::{Deployment, Scenario};
 use wrsn::sim::cancel::budget_from_secs;
-use wrsn::sim::obs::{self, NullRecorder, TraceRecord, SCHEMA_VERSION};
+use wrsn::sim::obs::{self, NullRecorder, TraceRecord};
 use wrsn::sim::store;
 use wrsn::sim::trace::Trace;
 use wrsn::sim::{AuditConfig, SimError, World};
@@ -358,8 +358,10 @@ pub fn parse_line(line: &str, seq: u64) -> Result<Request, Rejected> {
         id: format!("r{seq}"),
         detail,
     };
-    let value: Value = serde_json::from_str(line)
-        .map_err(|e| anonymous(format!("malformed request JSON: {e}")))?;
+    let value: Value = serde_json::from_str(line).map_err(|e| Rejected {
+        id: leading_id(line).unwrap_or_else(|| format!("r{seq}")),
+        detail: format!("malformed request JSON: {e}"),
+    })?;
     let map = value.as_map().ok_or_else(|| {
         anonymous(format!(
             "request must be a JSON object, got {}",
@@ -371,6 +373,24 @@ pub fn parse_line(line: &str, seq: u64) -> Result<Request, Rejected> {
         None => format!("r{seq}"),
     };
     parse_fields(map, id.clone()).map_err(|detail| Rejected { id, detail })
+}
+
+/// The `id` of a line that opens with it (`{"id":"q7",…`), read even when
+/// the JSON after it does not parse.
+fn leading_id(line: &str) -> Option<String> {
+    let rest = line.trim_start().strip_prefix('{')?.trim_start();
+    let rest = rest
+        .strip_prefix("\"id\"")?
+        .trim_start()
+        .strip_prefix(':')?;
+    let rest = rest.trim_start();
+    let mut escaped = true; // passes over the opening quote
+    let (end, _) = rest.char_indices().find(|&(_, c)| {
+        let closes = c == '"' && !escaped;
+        escaped = c == '\\' && !escaped;
+        closes
+    })?;
+    serde_json::from_str(&rest[..=end]).ok()
 }
 
 /// The fields of a request object whose `id` is already known.
@@ -566,7 +586,7 @@ pub fn execute_with(
         ))
     };
     let mut audit = None;
-    let value = match payload {
+    let result = match payload {
         Payload::Exp(_) if sink.is_some() => return Err(not_streamable()),
         Payload::Exp(id) => {
             let tables = crate::run(id).map_err(|e| match e {
@@ -590,11 +610,11 @@ pub fn execute_with(
                     ])
                 })
                 .collect::<Vec<_>>();
-            Value::Map(vec![
+            serde_json::to_string(&Value::Map(vec![
                 ("exp".to_string(), Value::Str(id.clone())),
                 ("rendered".to_string(), Value::Seq(rendered)),
                 ("csvs".to_string(), Value::Seq(csvs)),
-            ])
+            ]))
         }
         Payload::Scenario(spec) => {
             if wrsn::sim::cancel::cancelled() {
@@ -630,10 +650,10 @@ pub fn execute_with(
             }
             let outcome = evaluate_attack(&world, &policy);
             audit = detector.and_then(|preset| AuditSummary::from_world(&world, preset));
-            scenario_result_value(spec, &report, &outcome)
+            serde_json::to_string(&scenario_result(spec, &report, &outcome))
         }
         #[cfg(test)]
-        Payload::Test(op) => match op {
+        Payload::Test(op) => serde_json::to_string(&match op {
             TestOp::Stream { frames, sleep_ms } => {
                 if let Some(sink) = sink {
                     for k in 0..*frames {
@@ -664,20 +684,26 @@ pub fn execute_with(
                 }
                 std::thread::sleep(std::time::Duration::from_millis(2));
             },
-        },
+        }),
     };
-    let result = serde_json::to_string(&value)
-        .map_err(|e| ExecError::Failed(format!("serialize result: {e}")))?;
+    let result = result.map_err(|e| ExecError::Failed(format!("serialize result: {e}")))?;
     Ok((result, audit))
 }
 
-/// The canonical scenario `result` value — what makes a streamed final
-/// frame byte-identical to the non-streamed cached result.
-fn scenario_result_value(
+/// The canonical scenario `result`, fields in wire order — what makes a
+/// streamed final frame byte-identical to the non-streamed cached result.
+#[derive(Serialize)]
+struct ScenarioResult {
+    scenario: Value,
+    report: ReportFields,
+    attack: AttackFields,
+}
+
+fn scenario_result(
     spec: &ScenarioSpec,
     report: &wrsn::sim::SimReport,
     outcome: &wrsn::core::attack::AttackOutcome,
-) -> Value {
+) -> ScenarioResult {
     let report = ReportFields {
         final_time_s: report.final_time_s,
         dead_nodes: report.dead_nodes,
@@ -694,11 +720,11 @@ fn scenario_result_value(
         exhausted_ratio: outcome.exhausted_ratio,
         key_node_exhausted_ratio: outcome.key_node_exhausted_ratio,
     };
-    Value::Map(vec![
-        ("scenario".to_string(), spec.to_value()),
-        ("report".to_string(), report.to_value()),
-        ("attack".to_string(), attack.to_value()),
-    ])
+    ScenarioResult {
+        scenario: spec.to_value(),
+        report,
+        attack,
+    }
 }
 
 /// The `report` object of a scenario `result`, fields in wire order.
@@ -761,7 +787,9 @@ impl StreamCursor {
 }
 
 fn quote(s: &str) -> String {
-    serde_json::to_string(&Value::Str(s.to_string())).expect("strings always serialize")
+    let mut out = String::new();
+    serde::json::write_str(s, &mut out);
+    out
 }
 
 /// An `ok` response line. `result_json` is embedded verbatim — it must be
@@ -826,24 +854,16 @@ pub fn overloaded_line(id: &str, retry_after_ms: u64) -> String {
 /// the PR 2 JSONL envelope (`{"v":<schema>,"record":...}`) so consumers feed
 /// elements straight into [`wrsn::sim::obs::from_jsonl_line`].
 pub fn progress_line(id: &str, seq: u64, sim_t_s: f64, records: &[TraceRecord]) -> String {
-    let wrapped = records
+    let records: Vec<String> = records
         .iter()
-        .map(|r| {
-            Value::Map(vec![
-                ("v".to_string(), Value::U64(SCHEMA_VERSION)),
-                ("record".to_string(), r.to_value()),
-            ])
-        })
-        .collect::<Vec<_>>();
-    let frame = Value::Map(vec![
-        ("v".to_string(), Value::U64(RESPONSE_VERSION)),
-        ("id".to_string(), Value::Str(id.to_string())),
-        ("status".to_string(), Value::Str("progress".to_string())),
-        ("seq".to_string(), Value::U64(seq)),
-        ("sim_t_s".to_string(), Value::F64(sim_t_s)),
-        ("records".to_string(), Value::Seq(wrapped)),
-    ]);
-    serde_json::to_string(&frame).expect("trace records carry finite floats")
+        .map(|r| obs::to_jsonl_line(r).expect("trace records carry finite floats"))
+        .collect();
+    format!(
+        "{{\"v\":{RESPONSE_VERSION},\"id\":{},\"status\":\"progress\",\"seq\":{seq},\
+         \"sim_t_s\":{sim_t_s},\"records\":[{}]}}",
+        quote(id),
+        records.join(",")
+    )
 }
 
 /// A `timeout` response line.
@@ -1044,6 +1064,13 @@ mod tests {
         assert_eq!(late.id, "h", "the id is read before any other field");
         assert!(late.detail.contains("deadline_s"), "{}", late.detail);
         assert_eq!(parse_line("not json", 4).unwrap_err().id, "r4");
+        let deep = format!(r#" {{ "id" : "d\"1","exp":{}"#, "[".repeat(1000));
+        let rejected = parse_line(&deep, 4).unwrap_err();
+        assert_eq!(rejected.id, "d\"1", "an id ahead of malformed JSON is read");
+        assert!(rejected.detail.contains("nest deeper"), "{rejected:?}");
+        for unread in [r#"{"id":"t"#, r#"{"exp":"x","id":"t""#, r#"{"id":7,"#] {
+            assert_eq!(parse_line(unread, 4).unwrap_err().id, "r4", "{unread}");
+        }
         assert_eq!(
             parse_line(r#"{"id":7,"op":"ping"}"#, 5).unwrap_err().id,
             "r5"

@@ -1,9 +1,12 @@
-//! Daemon-level overload and hostile-client hardening: typed shedding under
-//! a full queue with retry-to-success byte identity, streamed responses
-//! cancelled by mid-stream client disconnects without poisoning the cache,
-//! oversized request lines, idle-connection reaping, and a full load run
-//! through the fault-injecting chaos proxy — all through the real binary
-//! and real sockets.
+//! `wrsnd` through the real binary and real sockets. Durability: SIGKILL
+//! mid-request, and the restarted daemon serves the same digest
+//! byte-identically from its artifact store, with deadline enforcement and
+//! worker-thread reuse after a payload panic. Overload and hostile clients:
+//! typed shedding under a full queue with retry-to-success byte identity,
+//! streamed responses cancelled by mid-stream client disconnects without
+//! poisoning the cache, oversized and deeply nested request lines,
+//! idle-connection reaping, and a full load run through the fault-injecting
+//! chaos proxy.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -37,6 +40,7 @@ struct Daemon {
 impl Daemon {
     /// Boots `wrsnd serve --listen 127.0.0.1:0` on `store` with `extra`
     /// flags (queue cap, cache cap, idle timeout) and waits for the banner.
+    /// `envs` lets a test arm the fault hooks.
     fn spawn(store: &Path, workers: usize, extra: &[&str], envs: &[(&str, &str)]) -> Daemon {
         let mut command = Command::new(env!("CARGO_BIN_EXE_wrsnd"));
         command
@@ -70,6 +74,12 @@ impl Daemon {
         let stream = TcpStream::connect(&self.addr).expect("connect to daemon");
         let reader = BufReader::new(stream.try_clone().expect("clone stream"));
         Conn { stream, reader }
+    }
+
+    /// SIGKILL — the crash the artifact store must survive.
+    fn kill(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 
     /// A counter from a fresh `stats` request (0 when absent).
@@ -397,6 +407,34 @@ fn a_deadline_beyond_a_duration_is_a_typed_error_on_a_live_connection() {
 }
 
 #[test]
+fn a_deeply_nested_line_is_a_typed_error_on_a_live_connection() {
+    // 64 KB of `[`, far below the line cap, overflowed the connection
+    // thread's stack and aborted the daemon before the parser's nesting cap.
+    let store = temp_dir("nested");
+    let mut daemon = Daemon::spawn(&store, 1, &[], &[]);
+    let mut conn = daemon.connect();
+    let timeout = Some(Duration::from_secs(30));
+    conn.stream
+        .set_read_timeout(timeout)
+        .expect("set read timeout");
+    let line = format!(r#"{{"id":"deep","exp":{}"#, "[".repeat(64 * 1024));
+    let rejected = conn.request(&line);
+    assert_eq!(
+        (rejected.status.as_str(), rejected.id.as_str()),
+        ("error", "deep")
+    );
+    let error = rejected.error.unwrap_or_default();
+    assert!(
+        error.contains("nest deeper"),
+        "error names the cap: {error}"
+    );
+    assert_eq!(conn.request(r#"{"op":"ping"}"#).status, "ok");
+    drop(conn);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
 fn idle_connections_are_reaped_but_waiting_clients_are_not() {
     let store = temp_dir("idle");
     let mut daemon = Daemon::spawn(&store, 1, &["--idle-timeout-s", "0.3"], &[]);
@@ -464,6 +502,149 @@ fn a_load_run_through_the_chaos_proxy_converges_with_zero_violations() {
     let mut conn = daemon.connect();
     let pong = conn.request(r#"{"id":"p","op":"ping"}"#);
     assert_eq!(pong.status, "ok");
+    drop(conn);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+const SCENARIO_A: &str =
+    r#"{"id":"a","scenario":{"nodes":24,"seed":7,"horizon_s":20000},"deadline_s":120}"#;
+
+#[test]
+fn sigkill_mid_request_then_restart_serves_the_same_digest_byte_identically() {
+    let store = temp_dir("sigkill");
+
+    // Phase 1: a clean daemon computes scenario A and caches it.
+    let mut daemon = Daemon::spawn(&store, 2, &[], &[]);
+    let mut conn = daemon.connect();
+    let first = conn.request(SCENARIO_A);
+    assert_eq!(first.status, "ok", "error: {:?}", first.error);
+    assert_eq!(first.cache.as_deref(), Some("miss"));
+    let digest = first.digest.clone().expect("work response has a digest");
+    let bytes = first.result_canonical.clone().expect("ok has a result");
+
+    // Same scenario again: a validated cache hit, byte-identical.
+    let again = conn.request(SCENARIO_A);
+    assert_eq!(again.cache.as_deref(), Some("hit"));
+    assert_eq!(again.digest.as_deref(), Some(digest.as_str()));
+    assert_eq!(again.result_canonical.as_deref(), Some(bytes.as_str()));
+
+    // Phase 2: wedge an in-flight request (the fig5 fault hook hangs its
+    // worker until cancelled) and SIGKILL the daemon mid-request.
+    daemon.kill();
+    drop(conn);
+    let mut daemon = Daemon::spawn(&store, 2, &[], &[("WRSN_FORCE_HANG", "fig5")]);
+    let mut conn = daemon.connect();
+    conn.send(r#"{"id":"wedged","exp":"fig5","deadline_s":600}"#);
+    std::thread::sleep(Duration::from_millis(400));
+    daemon.kill();
+    drop(conn);
+
+    // Phase 3: a restarted daemon on the same store must serve scenario A
+    // from the artifact store — same digest, same bytes, no recompute — and
+    // the store must contain no torn temp files from the kill.
+    let mut daemon = Daemon::spawn(&store, 2, &[], &[]);
+    let mut conn = daemon.connect();
+    let replay = conn.request(SCENARIO_A);
+    assert_eq!(replay.status, "ok", "error: {:?}", replay.error);
+    assert_eq!(
+        replay.cache.as_deref(),
+        Some("hit"),
+        "restart must serve from the store, not recompute"
+    );
+    assert_eq!(replay.digest.as_deref(), Some(digest.as_str()));
+    assert_eq!(
+        replay.result_canonical.as_deref(),
+        Some(bytes.as_str()),
+        "replayed artifact must be byte-identical across the crash"
+    );
+    for entry in std::fs::read_dir(&store).expect("read store") {
+        let name = entry.expect("entry").file_name();
+        let name = name.to_string_lossy().into_owned();
+        assert!(
+            name.ends_with(".out.json") && !name.contains(".tmp"),
+            "unexpected store file after SIGKILL: {name}"
+        );
+    }
+
+    // The daemon is fully functional after the crash: fresh work computes.
+    let fresh = conn.request(r#"{"id":"b","scenario":{"nodes":10,"seed":1,"horizon_s":5000}}"#);
+    assert_eq!(fresh.status, "ok");
+    assert_eq!(fresh.cache.as_deref(), Some("miss"));
+    drop(conn);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn a_panicked_worker_thread_is_reused_cleanly() {
+    // One worker: the request after the panic runs on the thread that just
+    // unwound — the daemon-level pin for the id-keyed ScopedCancel restore.
+    let store = temp_dir("panic");
+    let mut daemon = Daemon::spawn(&store, 1, &[], &[("WRSN_FORCE_PANIC", "fig2")]);
+    let mut conn = daemon.connect();
+
+    let boom = conn.request(r#"{"id":"boom","exp":"fig2"}"#);
+    assert_eq!(boom.status, "error");
+    assert!(
+        boom.error.unwrap_or_default().contains("panicked"),
+        "forced panic surfaces as a typed error"
+    );
+
+    let after = conn.request(r#"{"id":"after","scenario":{"nodes":10,"seed":3,"horizon_s":5000}}"#);
+    assert_eq!(
+        after.status, "ok",
+        "reused worker thread must not carry stale cancellation: {:?}",
+        after.error
+    );
+    drop(conn);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn deadlines_cancel_hung_requests_without_taking_the_daemon_down() {
+    let store = temp_dir("deadline");
+    let mut daemon = Daemon::spawn(&store, 1, &[], &[("WRSN_FORCE_HANG", "fig5")]);
+    let mut conn = daemon.connect();
+
+    let started = Instant::now();
+    let hung = conn.request(r#"{"id":"hung","exp":"fig5","deadline_s":0.5}"#);
+    assert_eq!(hung.status, "timeout", "error: {:?}", hung.error);
+    assert!(
+        started.elapsed() < Duration::from_secs(30),
+        "watchdog cancelled at the deadline, not at test timeout"
+    );
+
+    // The worker that was hung is free again: new work completes.
+    let after = conn.request(r#"{"id":"ok","scenario":{"nodes":10,"seed":5,"horizon_s":5000}}"#);
+    assert_eq!(after.status, "ok", "error: {:?}", after.error);
+    drop(conn);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn ping_and_stats_report_service_state() {
+    let store = temp_dir("stats");
+    let mut daemon = Daemon::spawn(&store, 2, &[], &[]);
+    let mut conn = daemon.connect();
+    let pong = conn.request(r#"{"id":"p","op":"ping"}"#);
+    assert_eq!(pong.status, "ok");
+    assert!(pong.result_canonical.unwrap().contains("ping"));
+
+    let one = conn.request(r#"{"id":"w","scenario":{"nodes":10,"seed":9,"horizon_s":5000}}"#);
+    assert_eq!(one.status, "ok");
+    let stats = conn.request(r#"{"id":"s","op":"stats"}"#);
+    let body = stats.result_canonical.expect("stats body");
+    assert!(
+        body.contains("\"cache_misses\":1"),
+        "one computed request in {body}"
+    );
+    assert!(
+        body.contains("\"threads\":"),
+        "stats must report the effective execution strategy, got {body}"
+    );
     drop(conn);
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&store);

@@ -54,11 +54,12 @@ impl PartialEq for DetectionReport {
 // The lazy index never enters the wire shape: a report serializes exactly as
 // the plain `{detector, alarms}` record it always was.
 impl Serialize for DetectionReport {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("detector".to_string(), self.detector.to_value()),
-            ("alarms".to_string(), self.alarms.to_value()),
-        ])
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        let mut map = serde::json::MapWriter::new(out);
+        map.field("detector", &self.detector)?;
+        map.field("alarms", &self.alarms)?;
+        map.end();
+        Ok(())
     }
 }
 
@@ -547,6 +548,23 @@ mod tests {
             world.set_battery_level(NodeId(i), level).unwrap();
         }
         world
+    }
+
+    #[test]
+    fn a_report_encodes_without_its_index() {
+        let alarm = Alarm {
+            node: NodeId(3),
+            time_s: 1.5,
+            detail: "no gain".to_string(),
+        };
+        let report = DetectionReport::new("energy", vec![alarm]);
+        assert!(report.flagged(NodeId(3)));
+        let text = serde_json::to_string(&report).unwrap();
+        let wire =
+            r#"{"detector":"energy","alarms":[{"node":[3],"time_s":1.5,"detail":"no gain"}]}"#;
+        assert_eq!(text, wire);
+        let back: DetectionReport = serde_json::from_str(&text).unwrap();
+        assert!(back == report && back.flagged(NodeId(3)) && !back.flagged(NodeId(4)));
     }
 
     #[test]

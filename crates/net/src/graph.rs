@@ -211,29 +211,6 @@ impl Topology {
 // (`nodes` as a list of SensorNode maps): checkpoints written before the
 // column refactor stay loadable, and snapshots stay byte-identical.
 impl Serialize for Network {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            (
-                "nodes".to_string(),
-                Value::Seq(
-                    (0..self.node_count())
-                        .map(|i| self.materialize(i).to_value())
-                        .collect(),
-                ),
-            ),
-            ("sink".to_string(), self.sink.to_value()),
-            ("comm_range_m".to_string(), self.comm_range_m.to_value()),
-            (
-                "adj".to_string(),
-                Value::Seq(self.ids().map(|id| self.neighbors(id).to_value()).collect()),
-            ),
-            (
-                "sink_neighbors".to_string(),
-                self.sink_neighbors().to_value(),
-            ),
-        ])
-    }
-
     fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
         NetworkEncoder::default().encode(self, out)
     }
@@ -1193,15 +1170,9 @@ mod tests {
     fn json_round_trip_is_byte_identical() {
         let nodes = crate::deploy::uniform(&Region::square(90.0), 40, 9);
         let net = Network::build(nodes, Point::new(45.0, 45.0), 20.0);
-        let mut streamed = String::new();
-        net.write_json(&mut streamed).unwrap();
-        let mut via_tree = String::new();
-        serde::json::write_value(&net.to_value(), &mut via_tree).unwrap();
-        assert_eq!(streamed, via_tree);
-        let back = Network::from_value(&net.to_value()).unwrap();
-        let mut again = String::new();
-        back.write_json(&mut again).unwrap();
-        assert_eq!(again, streamed);
+        let streamed = serde_json::to_string(&net).unwrap();
+        let back: Network = serde_json::from_str(&streamed).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), streamed);
         assert!(csr_bits(&back) == csr_bits(&net));
     }
 
@@ -1213,9 +1184,7 @@ mod tests {
         let encode = |encoder: &mut NetworkEncoder, net: &Network| {
             let mut out = String::new();
             encoder.encode(net, &mut out).unwrap();
-            let mut via_tree = String::new();
-            serde::json::write_value(&net.to_value(), &mut via_tree).unwrap();
-            assert_eq!(out, via_tree);
+            assert_eq!(out, serde_json::to_string(net).unwrap());
             out
         };
         let first = encode(&mut encoder, &net);
@@ -1244,10 +1213,12 @@ mod tests {
     fn malformed_adjacency_is_rejected() {
         let net = path_net();
         let with_adj = |rows: Vec<Vec<NodeId>>| {
-            let Value::Map(mut entries) = net.to_value() else {
+            let text = serde_json::to_string(&net).unwrap();
+            let Ok(Value::Map(mut entries)) = serde_json::from_str(&text) else {
                 panic!("network encodes as a map")
             };
-            entries.iter_mut().find(|(k, _)| k == "adj").unwrap().1 = rows.to_value();
+            let rows = serde_json::from_str(&serde_json::to_string(&rows).unwrap()).unwrap();
+            entries.iter_mut().find(|(k, _)| k == "adj").unwrap().1 = rows;
             Network::from_value(&Value::Map(entries))
         };
         assert!(

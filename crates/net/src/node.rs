@@ -61,21 +61,6 @@ pub struct SensorNode {
 // the JSON shape is identical to the pre-fault-injection derived form unless
 // a node actually hard-failed.
 impl Serialize for SensorNode {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("position".to_string(), self.position.to_value()),
-            ("battery".to_string(), self.battery.to_value()),
-            (
-                "sensing_rate_bps".to_string(),
-                self.sensing_rate_bps.to_value(),
-            ),
-        ];
-        if self.failed {
-            entries.push(("failed".to_string(), Value::Bool(true)));
-        }
-        Value::Map(entries)
-    }
-
     fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
         let battery = &self.battery;
         node_json::head(self.position, battery.capacity_j(), out)?;
@@ -310,23 +295,23 @@ mod tests {
 
     #[test]
     fn serde_omits_failed_flag_on_healthy_nodes() {
-        use serde::{Deserialize, Serialize};
         let healthy = SensorNode::new(Point::new(1.0, 2.0));
-        let v = healthy.to_value();
-        let keys: Vec<&str> = v
-            .as_map()
-            .unwrap()
-            .iter()
-            .map(|(k, _)| k.as_str())
-            .collect();
-        assert_eq!(keys, ["position", "battery", "sensing_rate_bps"]);
-        assert_eq!(SensorNode::from_value(&v).unwrap(), healthy);
+        let text = serde_json::to_string(&healthy).unwrap();
+        assert!(
+            text.starts_with(r#"{"position":{"x":1,"y":2},"battery":{"#),
+            "{text}"
+        );
+        assert!(text.ends_with(r#"},"sensing_rate_bps":1000}"#), "{text}");
+        assert_eq!(serde_json::from_str::<SensorNode>(&text).unwrap(), healthy);
 
         let mut crashed = healthy.clone();
         crashed.mark_failed();
-        let v = crashed.to_value();
-        assert!(v.as_map().unwrap().iter().any(|(k, _)| k == "failed"));
-        let back = SensorNode::from_value(&v).unwrap();
+        let text = serde_json::to_string(&crashed).unwrap();
+        assert!(
+            text.ends_with(r#","sensing_rate_bps":1000,"failed":true}"#),
+            "{text}"
+        );
+        let back: SensorNode = serde_json::from_str(&text).unwrap();
         assert!(back.has_failed());
         assert_eq!(back, crashed);
     }

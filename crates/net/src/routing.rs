@@ -54,26 +54,6 @@ const NO_NODE: u32 = u32::MAX;
 // Hand-written impls because `dist` holds `INFINITY` for unreachable nodes
 // and JSON has no non-finite numbers: infinite entries round-trip as `null`.
 impl Serialize for RoutingTree {
-    fn to_value(&self) -> serde::Value {
-        let dist: Vec<Option<f64>> = self
-            .dist
-            .iter()
-            .map(|&d| if d.is_finite() { Some(d) } else { None })
-            .collect();
-        serde::Value::Map(vec![
-            (
-                "parent".to_string(),
-                serde::Value::Seq(
-                    (0..self.parent.len())
-                        .map(|v| self.up(v).map(NodeId).to_value())
-                        .collect(),
-                ),
-            ),
-            ("dist".to_string(), dist.to_value()),
-            ("reachable".to_string(), self.reachable.to_value()),
-        ])
-    }
-
     fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
         let mut map = serde::json::MapWriter::new(out);
         let parent = map.key("parent");

@@ -17,7 +17,6 @@
 //! inside the repair and the load update only guard debug builds).
 
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use wrsn_net::energy::RadioEnergyModel;
 use wrsn_net::keynode;
@@ -97,7 +96,8 @@ fn check_death_batches(net: &Network, batches: &[Vec<usize>]) {
         }
         let alive = mask.iter().filter(|&&a| a).count();
         let prev_load = load.clone();
-        let mut twin = RoutingTree::from_value(&tree.to_value()).expect("tree round-trips");
+        let text = serde_json::to_string(&tree).expect("finite tree");
+        let mut twin: RoutingTree = serde_json::from_str(&text).expect("tree round-trips");
 
         tree.repair_after_deaths(net, &mask, alive, &dead, &mut scratch);
         let full = RoutingTree::shortest_path(net, &mask);

@@ -30,7 +30,7 @@
 //! accounted against the base station's overhead budget, not the charger's.
 
 use serde::json::MapWriter;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use wrsn_net::NodeId;
 
@@ -232,19 +232,6 @@ pub struct AuditState {
 }
 
 impl Serialize for AuditState {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("config".to_string(), self.config.to_value()),
-            ("probe_seq".to_string(), self.probe_seq.to_value()),
-            ("probes".to_string(), self.probes.to_value()),
-            ("windows".to_string(), self.windows.to_value()),
-            ("convicted".to_string(), self.convicted.to_value()),
-            ("convictions".to_string(), self.convictions.to_value()),
-            ("spent_j".to_string(), self.spent_j.to_value()),
-            ("starved".to_string(), self.starved.to_value()),
-        ])
-    }
-
     fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
         AuditEncoder::default().encode(self, out)
     }
@@ -587,7 +574,7 @@ mod tests {
         let mut audit = AuditState::new(always_probe());
         audit.observe_session(&obs(0, 100.0, 0.0), &mut NullRecorder);
         audit.observe_session(&obs(1, 100.0, 80.0), &mut NullRecorder);
-        let json = serde_json::to_string(&audit.to_value()).expect("serialize");
+        let json = serde_json::to_string(&audit).expect("serialize");
         let value = serde_json::from_str(&json).expect("parse");
         let back = AuditState::from_value(&value).expect("deserialize");
         assert_eq!(audit, back);

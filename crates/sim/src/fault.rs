@@ -409,14 +409,14 @@ mod tests {
 
     #[test]
     fn injector_serde_round_trips_runtime_state() {
-        use serde::{Deserialize, Serialize};
         let plan = FaultPlan::generate(3, 10, 100.0, &FaultConfig::uniform(2));
         let mut inj = FaultInjector::new(plan);
         inj.pop_due(f64::INFINITY);
         inj.degrade(NodeId(1), 0.7, 10);
         inj.arm_stall(12.5);
         inj.arm_request_loss(NodeId(9));
-        let back = FaultInjector::from_value(&inj.to_value()).unwrap();
+        let text = serde_json::to_string(&inj).unwrap();
+        let back: FaultInjector = serde_json::from_str(&text).unwrap();
         assert_eq!(back, inj);
     }
 }

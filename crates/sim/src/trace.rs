@@ -7,7 +7,7 @@
 //! between the two is the spoofing attack's signature.
 
 use serde::json::MapWriter;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use wrsn_net::{NodeId, Point};
 
@@ -105,14 +105,6 @@ pub struct Trace {
 }
 
 impl Serialize for Trace {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("events".to_string(), self.events.to_value()),
-            ("sessions".to_string(), self.sessions.to_value()),
-            ("death_times".to_string(), self.death_times.to_value()),
-        ])
-    }
-
     fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
         TraceEncoder::default().encode(self, out)
     }

@@ -187,35 +187,9 @@ impl Default for Scratch {
 
 // Hand-written so the scratch buffers stay out of snapshots: the JSON shape
 // is identical to the previous derived form, and `Scratch` is rebuilt from
-// the deserialized fields. `write_json` streams the same fields in the same
-// order through a fresh `WorldEncoder`, the one the checkpointer keeps.
+// the deserialized fields. `write_json` runs a fresh `WorldEncoder`, the one
+// the checkpointer keeps.
 impl Serialize for World {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("net".to_string(), self.net.to_value()),
-            ("charger".to_string(), self.charger.to_value()),
-            ("config".to_string(), self.config.to_value()),
-            ("time_s".to_string(), self.time_s.to_value()),
-            ("tree".to_string(), self.tree.to_value()),
-            ("power_w".to_string(), self.power_w.to_value()),
-            ("requests".to_string(), self.requests.to_value()),
-            ("trace".to_string(), self.trace.to_value()),
-            ("lifetime_s".to_string(), self.lifetime_s.to_value()),
-            ("depot_visits".to_string(), self.depot_visits.to_value()),
-            ("energy_used_j".to_string(), self.energy_used_j.to_value()),
-        ];
-        // Fault state only enters the snapshot when a plan is attached, so
-        // fault-free snapshots keep the exact pre-fault byte shape.
-        if let Some(faults) = &self.faults {
-            entries.push(("faults".to_string(), faults.to_value()));
-        }
-        // Same deal for the audit: only attached audits enter the snapshot.
-        if let Some(audit) = &self.audit {
-            entries.push(("audit".to_string(), audit.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-
     fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
         WorldEncoder::default().encode(self, out)
     }
@@ -1452,10 +1426,6 @@ impl Checkpoint {
 }
 
 impl Serialize for Checkpoint {
-    fn to_value(&self) -> serde::Value {
-        self.state.to_value()
-    }
-
     fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
         self.state.write_json(out)
     }

@@ -29,7 +29,8 @@ cargo test --release -p wrsn-bench --test golden_exp_digest -q
 
 echo "== release text goldens (the suite's deterministic tables, row by row)"
 # Every CSV of `exp --id all` except the wall-clock tab1; a mismatch names
-# the table and prints the rows that moved.
+# the table and prints the rows that moved. The tables EXPERIMENTS.md quotes
+# from the golden must equal it cell for cell.
 cargo test --release -p wrsn-bench --test golden_tables -q
 
 echo "== release golden digest (scale 10k byte-identity)"
@@ -44,8 +45,9 @@ cargo test --release -p wrsn-bench --test golden_roc_digest -q
 
 echo "== release golden digest (checkpoint store bytes)"
 # Pins the bytes store::save and the periodic checkpointer write for an
-# audited, fault-injected CSA world: the JSON encoder and every hand-written
-# encoding on the checkpoint path must keep the v1 file byte-identical.
+# audited, fault-injected CSA world: each type's one encoder (`write_json`,
+# derived or hand-written) on the checkpoint path must keep the v1 file
+# byte-identical.
 cargo test --release --test golden_checkpoint -q
 
 echo "== release checkpoint encode-cache byte identity"
@@ -262,21 +264,26 @@ svc_addr="$(sed -n 's/^wrsnd listening on //p' "$svc_banner")"
 wait "$svc_pid" \
   || { echo "wrsnd daemon exited nonzero" >&2; exit 1; }
 
-echo "== wrsnd stdin smoke: a deadline no Duration can hold is a typed error"
+echo "== wrsnd stdin smoke: a deadline no Duration can hold, and a deeply nested line, are typed errors"
 # deadline_s = 1e20 s is a finite positive number but above Duration's range.
 # Under --stdin the request reader runs on the main thread, so converting it
 # with a panic would kill the daemon; it must answer an error line for `h`
-# and then shut down cleanly.
+# and then shut down cleanly. The same holds for `d`, a 50 KB line of nested
+# arrays: parsing it one stack frame per level aborted the daemon, and the
+# parser's nesting cap makes it an error line instead.
 stdin_store="$(mktemp -d)"
 stdin_out="$(mktemp)"
 trap 'rm -f "$trace_file" "$faults_a" "$faults_b" "$panic_out" "$panic_err" \
   "$hang_out" "$hang_err" "$svc_banner" "$stdin_out"; \
   rm -rf "$gold_dir" "$run_dir" "$svc_store" "$stdin_store"' EXIT
-printf '%s\n' '{"id":"h","exp":"fig2","deadline_s":1e20}' '{"op":"shutdown"}' \
+nested_line="{\"id\":\"d\",\"exp\":$(head -c 51200 /dev/zero | tr '\0' '[')"
+printf '%s\n' '{"id":"h","exp":"fig2","deadline_s":1e20}' "$nested_line" '{"op":"shutdown"}' \
   | "$wrsnd" serve --stdin --store "$stdin_store" > "$stdin_out" 2>/dev/null \
-  || { echo "wrsnd serve --stdin exited nonzero on deadline_s = 1e20" >&2; exit 1; }
+  || { echo "wrsnd serve --stdin exited nonzero on deadline_s = 1e20 or a nested line" >&2; exit 1; }
 grep -q '"id":"h","status":"error"' "$stdin_out" \
   || { echo "wrsnd serve --stdin printed no error line for id h" >&2; exit 1; }
+grep -q '"id":"d","status":"error"' "$stdin_out" \
+  || { echo "wrsnd serve --stdin printed no error line for id d" >&2; exit 1; }
 
 echo "== wrsnd chaos smoke: load through the fault-injecting proxy"
 # Boot a small-capacity daemon behind the chaos proxy (seeded connection
