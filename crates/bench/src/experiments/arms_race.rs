@@ -27,7 +27,7 @@
 
 use wrsn::core::attack::{evaluate_attack, CsaAttackPolicy};
 use wrsn::scenario::Scenario;
-use wrsn::sim::obs::{NullRecorder, Recorder};
+use wrsn::sim::obs::Recorder;
 use wrsn::sim::{AuditConfig, FaultConfig, FaultPlan};
 
 use crate::stats::mean_std;
@@ -146,16 +146,11 @@ fn run_trial(
     }
 }
 
-/// Runs the experiment.
-pub fn run() -> Vec<Table> {
-    run_with(&mut NullRecorder)
-}
-
 /// Runs the experiment, observing every campaign through `rec`. Cells fan
 /// out on [`crate::parallel::map_indexed_observed`], which merges their
 /// records in index order, so the artifact is byte-identical at any worker
 /// count.
-pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
+pub fn run(rec: &mut dyn Recorder) -> Vec<Table> {
     let seeds = SEEDS as usize;
     let cells = PRESETS.len() * POLICIES.len() * INTENSITIES.len();
     let trials = crate::parallel::map_indexed_observed(cells * seeds, rec, |k, rec| {

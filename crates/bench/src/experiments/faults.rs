@@ -14,7 +14,7 @@
 use wrsn::core::attack::{evaluate_attack, CsaAttackPolicy};
 use wrsn::core::detect::{Detector, PostMortemAudit};
 use wrsn::scenario::Scenario;
-use wrsn::sim::obs::{NullRecorder, Recorder};
+use wrsn::sim::obs::Recorder;
 use wrsn::sim::{FaultConfig, FaultPlan};
 
 use crate::stats::mean_std;
@@ -65,13 +65,8 @@ fn run_trial(intensity: usize, seed: u64, rec: &mut dyn Recorder) -> Trial {
     }
 }
 
-/// Runs the experiment.
-pub fn run() -> Vec<Table> {
-    run_with(&mut NullRecorder)
-}
-
 /// Runs the experiment, observing every campaign through `rec`.
-pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
+pub fn run(rec: &mut dyn Recorder) -> Vec<Table> {
     let mut table = Table::new(
         format!("faults: CSA under fault injection ({NODES} nodes)"),
         &[

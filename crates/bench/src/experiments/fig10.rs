@@ -2,7 +2,7 @@
 //! small instances ("bounded performance guarantee").
 
 use wrsn::core::{csa, exact, theory};
-use wrsn::sim::obs::{NullRecorder, Recorder};
+use wrsn::sim::obs::Recorder;
 
 use crate::experiments::common::synthetic_instance;
 use crate::stats::{mean_std, min};
@@ -22,13 +22,8 @@ pub const CONFIGS: &[(&str, f64, f64)] = &[
     ("loose windows, loose budget", 800.0, 5_000.0),
 ];
 
-/// Runs the experiment.
-pub fn run() -> Vec<Table> {
-    run_with(&mut NullRecorder)
-}
-
 /// Runs the experiment, counting CSA planner work into `rec`.
-pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
+pub fn run(rec: &mut dyn Recorder) -> Vec<Table> {
     let mut table = Table::new(
         format!(
             "fig10: CSA / exact utility ratio over {INSTANCES} random instances of {VICTIMS} victims \
@@ -43,7 +38,7 @@ pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
         for seed in 0..INSTANCES {
             let inst = synthetic_instance(VICTIMS, seed.wrapping_mul(7919) + 13, window, budget);
             let opt = inst.utility(&exact::solve(&inst));
-            let got = inst.utility(&csa::plan_with_obs(&inst, &csa::CsaOptions::default(), rec));
+            let got = inst.utility(&csa::plan_with(&inst, &csa::CsaOptions::default(), rec));
             let ratio = theory::approximation_ratio(got, opt);
             if ratio > 1.0 - 1e-9 {
                 perfect += 1;
@@ -60,33 +55,4 @@ pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
         ]);
     }
     vec![table]
-}
-
-/// Worst observed ratio across all configurations (for the integration
-/// tests' bound assertion).
-pub fn worst_ratio() -> f64 {
-    let mut worst = 1.0f64;
-    for &(_, window, budget) in CONFIGS {
-        for seed in 0..INSTANCES {
-            let inst = synthetic_instance(VICTIMS, seed.wrapping_mul(7919) + 13, window, budget);
-            let opt = inst.utility(&exact::solve(&inst));
-            let got = inst.utility(&csa::plan(&inst));
-            worst = worst.min(theory::approximation_ratio(got, opt));
-        }
-    }
-    worst
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn empirical_ratio_respects_the_theoretical_floor() {
-        assert!(
-            worst_ratio() >= theory::greedy_guarantee() - 1e-9,
-            "worst ratio {} under floor",
-            worst_ratio()
-        );
-    }
 }

@@ -11,7 +11,7 @@ use wrsn::core::attack::CsaAttackPolicy;
 use wrsn::core::detect::{Detector, PostMortemAudit};
 use wrsn::net::NodeId;
 use wrsn::scenario::Scenario;
-use wrsn::sim::obs::{NullRecorder, Recorder};
+use wrsn::sim::obs::Recorder;
 use wrsn::sim::World;
 
 use crate::stats::mean_std;
@@ -51,15 +51,10 @@ fn honest_run(seed: u64, depot: bool, rec: &mut dyn Recorder) -> Run {
     }
 }
 
-/// Runs the experiment.
-pub fn run() -> Vec<Table> {
-    run_with(&mut NullRecorder)
-}
-
 /// Runs the experiment, observing every run through `rec`. The runs fan out
 /// on [`crate::parallel::map_indexed_observed`], which merges their records
 /// in index order, so the merged stream is independent of the worker count.
-pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
+pub fn run(rec: &mut dyn Recorder) -> Vec<Table> {
     // Every (condition, seed) simulation is independent — fan all of them
     // out at once; index order keeps the tables byte-identical.
     let seeds = SEEDS as usize;

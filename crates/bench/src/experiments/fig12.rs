@@ -14,7 +14,7 @@ use wrsn::core::detect::{
 };
 use wrsn::net::NodeId;
 use wrsn::scenario::Scenario;
-use wrsn::sim::obs::{NullRecorder, Recorder};
+use wrsn::sim::obs::Recorder;
 use wrsn::sim::World;
 
 use crate::stats::mean_std;
@@ -73,14 +73,9 @@ fn run_behaviour(label: &str, seed: u64, rec: &mut dyn Recorder) -> Run {
     }
 }
 
-/// Runs the experiment.
-pub fn run() -> Vec<Table> {
-    run_with(&mut NullRecorder)
-}
-
 /// Runs the experiment, observing every run through `rec`; the runs' records
 /// merge in index order ([`crate::parallel::map_indexed_observed`]).
-pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
+pub fn run(rec: &mut dyn Recorder) -> Vec<Table> {
     let detectors: Vec<(&str, Box<dyn Detector>)> = vec![
         ("energy-report", Box::new(EnergyReportAudit::default())),
         ("radiated-power", Box::new(RadiatedPowerAudit::default())),

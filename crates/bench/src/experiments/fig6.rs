@@ -2,7 +2,7 @@
 //! masquerade) vs. network size, from full attack executions.
 
 use wrsn::scenario::Scenario;
-use wrsn::sim::obs::{NullRecorder, Recorder};
+use wrsn::sim::obs::Recorder;
 
 use crate::experiments::common::run_csa_with;
 use crate::stats::mean_std;
@@ -13,13 +13,8 @@ pub const SIZES: &[usize] = &[50, 100, 150, 200];
 /// Seeds per size.
 pub const SEEDS: u64 = 5;
 
-/// Runs the experiment.
-pub fn run() -> Vec<Table> {
-    run_with(&mut NullRecorder)
-}
-
 /// Runs the experiment, observing every campaign through `rec`.
-pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
+pub fn run(rec: &mut dyn Recorder) -> Vec<Table> {
     let mut table = Table::new(
         "fig6: key nodes exhausted by the executed attack vs network size (paper: ≥80 %)",
         &[

@@ -2,7 +2,7 @@
 //! energy budget.
 
 use wrsn::scenario::Scenario;
-use wrsn::sim::obs::{NullRecorder, Recorder};
+use wrsn::sim::obs::Recorder;
 
 use crate::experiments::common::run_csa_with;
 use crate::stats::mean_std;
@@ -54,13 +54,8 @@ fn sweep<F: Fn(&mut Scenario, f64)>(
     table
 }
 
-/// Runs the experiment.
-pub fn run() -> Vec<Table> {
-    run_with(&mut NullRecorder)
-}
-
 /// Runs the experiment, observing every campaign through `rec`.
-pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
+pub fn run(rec: &mut dyn Recorder) -> Vec<Table> {
     vec![
         sweep(SPEEDS, "speed (m/s)", |s, v| s.mc_speed_mps = v, rec),
         sweep(BUDGETS, "budget (J)", |s, v| s.mc_energy_j = v, rec),

@@ -8,7 +8,7 @@ use wrsn::core::attack::{CsaAttackPolicy, EagerSpoofPolicy};
 use wrsn::core::detect::{Detector, EnergyReportAudit, TrajectoryAudit};
 use wrsn::net::NodeId;
 use wrsn::scenario::Scenario;
-use wrsn::sim::obs::{NullRecorder, Recorder};
+use wrsn::sim::obs::Recorder;
 use wrsn::sim::World;
 
 use crate::stats::mean_std;
@@ -58,13 +58,8 @@ fn runs_for(policy_kind: &str, seed: u64, rec: &mut dyn Recorder) -> Run {
     Run { world, victims }
 }
 
-/// Runs the experiment.
-pub fn run() -> Vec<Table> {
-    run_with(&mut NullRecorder)
-}
-
 /// Runs the experiment, observing every run through `rec`.
-pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
+pub fn run(rec: &mut dyn Recorder) -> Vec<Table> {
     let policies = ["honest", "csa", "eager"];
     let runs: Vec<Vec<Run>> = policies
         .iter()

@@ -4,7 +4,7 @@
 
 use wrsn::core::attack::CsaAttackPolicy;
 use wrsn::scenario::Scenario;
-use wrsn::sim::obs::{NullRecorder, Recorder};
+use wrsn::sim::obs::Recorder;
 use wrsn::sim::{ChargerPolicy, IdlePolicy, World};
 
 use crate::experiments::common::dead_at;
@@ -44,13 +44,8 @@ fn run_policy(label: &str, rec: &mut dyn Recorder) -> (String, World) {
     (label.to_string(), world)
 }
 
-/// Runs the experiment.
-pub fn run() -> Vec<Table> {
-    run_with(&mut NullRecorder)
-}
-
 /// Runs the experiment, observing all four policy runs through `rec`.
-pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
+pub fn run(rec: &mut dyn Recorder) -> Vec<Table> {
     let labels = ["absent", "njnp", "edf", "csa"];
     let runs: Vec<(String, World)> = labels.iter().map(|l| run_policy(l, rec)).collect();
 

@@ -26,7 +26,7 @@ use std::sync::mpsc::{self, Receiver};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use wrsn::sim::obs::{Counter, NullRecorder, Recorder};
+use wrsn::sim::obs::{Counter, Recorder};
 
 use crate::service::cache::ResultCache;
 use crate::service::request::{parse_response, DeploymentKind, Payload, ScenarioSpec};
@@ -60,7 +60,7 @@ const HORIZON_S: f64 = 20_000.0;
 const DEADLINE: Duration = Duration::from_secs(120);
 
 /// Burst size: [`REQUESTS_ENV`] override or the built-in [`REQUESTS`].
-pub fn requests() -> usize {
+fn requests() -> usize {
     std::env::var(REQUESTS_ENV)
         .ok()
         .and_then(|raw| raw.trim().parse().ok())
@@ -70,7 +70,7 @@ pub fn requests() -> usize {
 
 /// The `k`-th request's payload: scenario seeds cycle so the burst carries
 /// duplicates of `DISTINCT_SPECS` distinct digests.
-pub fn payload(k: usize) -> Payload {
+fn payload(k: usize) -> Payload {
     Payload::Scenario(ScenarioSpec {
         nodes: NODES,
         seed: (k % DISTINCT_SPECS) as u64,
@@ -203,13 +203,8 @@ fn stat_u64(stats: &serde::Value, key: &str) -> u64 {
         })
 }
 
-/// Runs the experiment without observation.
-pub fn run() -> Vec<Table> {
-    run_with(&mut NullRecorder)
-}
-
 /// Runs the experiment, reporting shed/eviction/stream tallies into `rec`.
-pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
+pub fn run(rec: &mut dyn Recorder) -> Vec<Table> {
     // Per-invocation store dir: the cache under test must start empty, and
     // parallel test runs in one process must not share it.
     static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -280,10 +275,11 @@ pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wrsn::sim::obs::NullRecorder;
 
     #[test]
     fn the_burst_is_shed_retried_and_resolved_without_violations() {
-        let tables = run();
+        let tables = run(&mut NullRecorder);
         assert_eq!(tables.len(), 1);
         let table = &tables[0];
         assert_eq!(table.rows.len(), 1);

@@ -19,7 +19,7 @@ use std::time::Instant;
 use wrsn::core::tide::TideConfig;
 use wrsn::net::prelude::KeyNodeConfig;
 use wrsn::scenario::Scenario;
-use wrsn::sim::obs::{NullRecorder, Recorder};
+use wrsn::sim::obs::Recorder;
 
 use crate::experiments::common::run_csa_scaled_with;
 use crate::parallel;
@@ -36,7 +36,7 @@ pub const SEED: u64 = 7;
 const TARGET_HUBS: usize = 64;
 
 /// Sizes to sweep: [`SIZES_ENV`] override or the built-in [`SIZES`].
-pub fn sizes() -> Vec<usize> {
+fn sizes() -> Vec<usize> {
     match std::env::var(SIZES_ENV) {
         Ok(raw) => {
             let parsed: Vec<usize> = raw
@@ -57,7 +57,7 @@ pub fn sizes() -> Vec<usize> {
 /// Horizon for an `n`-node world: inversely proportional to size so the
 /// total drain workload (node-seconds of discharge until the sink ring
 /// dies and the network partitions) stays comparable across the sweep.
-pub fn horizon_s(n: usize) -> f64 {
+fn horizon_s(n: usize) -> f64 {
     2.0e8 / n as f64
 }
 
@@ -123,13 +123,8 @@ pub fn run_at_size_with(n: usize, rec: &mut dyn Recorder) -> ScaleRow {
     }
 }
 
-/// Runs the experiment.
-pub fn run() -> Vec<Table> {
-    run_with(&mut NullRecorder)
-}
-
 /// Runs the experiment, observing every campaign through `rec`.
-pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
+pub fn run(rec: &mut dyn Recorder) -> Vec<Table> {
     let mut table = Table::new(
         "scale: CSA campaign wall-clock vs network size (SoA engine)",
         &[

@@ -7,6 +7,7 @@ use std::time::Instant;
 
 use wrsn::core::baseline;
 use wrsn::core::exact;
+use wrsn::sim::obs::NullRecorder;
 
 use crate::experiments::common::synthetic_instance;
 use crate::table::Table;
@@ -34,7 +35,7 @@ pub fn run() -> Vec<Table> {
             let samples: Vec<f64> = (0..REPS)
                 .map(|_| {
                     let t0 = Instant::now();
-                    let s = planner.plan(&inst);
+                    let s = planner.plan(&inst, &mut NullRecorder);
                     std::hint::black_box(s);
                     t0.elapsed().as_secs_f64() * 1e3
                 })

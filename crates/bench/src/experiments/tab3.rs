@@ -10,7 +10,7 @@ use wrsn::core::csa::{self, CsaOptions};
 use wrsn::core::detect::{Detector, EnergyReportAudit};
 use wrsn::net::NodeId;
 use wrsn::scenario::Scenario;
-use wrsn::sim::obs::{NullRecorder, Recorder};
+use wrsn::sim::obs::Recorder;
 
 use crate::stats::mean_std;
 use crate::table::{f, Table};
@@ -64,7 +64,7 @@ fn planner_ablation(rec: &mut dyn Recorder) -> Table {
         // seed order, so the aggregated row is byte-identical.
         let rows = crate::parallel::map_indexed_observed(PLANNER_SEEDS as usize, rec, |k, rec| {
             let inst = crate::experiments::common::synthetic_instance(20, k as u64, 300.0, 800.0);
-            let plan = csa::plan_with_obs(&inst, opts, rec);
+            let plan = csa::plan_with(&inst, opts, rec);
             debug_assert!(inst.validate(&plan).is_ok());
             // Slack = victim's residual life after the masquerade ends;
             // latest-start shifting exists to shrink this.
@@ -157,14 +157,9 @@ fn execution_ablation(rec: &mut dyn Recorder) -> Table {
     table
 }
 
-/// Runs the experiment.
-pub fn run() -> Vec<Table> {
-    run_with(&mut NullRecorder)
-}
-
 /// Runs the experiment, observing planner and execution runs through `rec`;
 /// their records merge in index order
 /// ([`crate::parallel::map_indexed_observed`]).
-pub fn run_with(rec: &mut dyn Recorder) -> Vec<Table> {
+pub fn run(rec: &mut dyn Recorder) -> Vec<Table> {
     vec![planner_ablation(rec), execution_ablation(rec)]
 }

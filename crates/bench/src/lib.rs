@@ -105,22 +105,22 @@ pub fn run_with(id: &str, rec: &mut dyn Recorder) -> Result<Vec<Table>, BenchErr
         "fig2" => Ok(experiments::fig2::run()),
         "fig3" => Ok(experiments::fig3::run()),
         "fig4" => Ok(experiments::fig4::run()),
-        "fig5" => Ok(experiments::fig5::run_with(rec)),
-        "fig6" => Ok(experiments::fig6::run_with(rec)),
-        "fig7" => Ok(experiments::fig7::run_with(rec)),
-        "fig8" => Ok(experiments::fig8::run_with(rec)),
-        "fig9" => Ok(experiments::fig9::run_with(rec)),
-        "fig10" => Ok(experiments::fig10::run_with(rec)),
-        "fig11" => Ok(experiments::fig11::run_with(rec)),
-        "fig12" => Ok(experiments::fig12::run_with(rec)),
+        "fig5" => Ok(experiments::fig5::run(rec)),
+        "fig6" => Ok(experiments::fig6::run(rec)),
+        "fig7" => Ok(experiments::fig7::run(rec)),
+        "fig8" => Ok(experiments::fig8::run(rec)),
+        "fig9" => Ok(experiments::fig9::run(rec)),
+        "fig10" => Ok(experiments::fig10::run(rec)),
+        "fig11" => Ok(experiments::fig11::run(rec)),
+        "fig12" => Ok(experiments::fig12::run(rec)),
         "fig13" => Ok(experiments::fig13::run()),
         "tab1" => Ok(experiments::tab1::run()),
         "tab2" => Ok(experiments::tab2::run()),
-        "tab3" => Ok(experiments::tab3::run_with(rec)),
-        "faults" => Ok(experiments::faults::run_with(rec)),
-        "scale" => Ok(experiments::scale::run_with(rec)),
-        "overload" => Ok(experiments::overload::run_with(rec)),
-        "arms_race" => Ok(experiments::arms_race::run_with(rec)),
+        "tab3" => Ok(experiments::tab3::run(rec)),
+        "faults" => Ok(experiments::faults::run(rec)),
+        "scale" => Ok(experiments::scale::run(rec)),
+        "overload" => Ok(experiments::overload::run(rec)),
+        "arms_race" => Ok(experiments::arms_race::run(rec)),
         other => Err(BenchError::unknown_id(other)),
     }
 }

@@ -221,7 +221,7 @@ pub struct StoredOutput {
 }
 
 /// Path of the artifact for `id` under `out_dir`.
-pub fn artifact_path(out_dir: &Path, id: &str) -> PathBuf {
+fn artifact_path(out_dir: &Path, id: &str) -> PathBuf {
     out_dir.join(ARTIFACT_DIR).join(format!("{id}.out.json"))
 }
 

@@ -179,7 +179,7 @@ impl ResultCache {
     }
 
     /// The entry path for a request digest.
-    pub fn entry_path(&self, digest: &str) -> PathBuf {
+    fn entry_path(&self, digest: &str) -> PathBuf {
         self.dir.join(format!("{digest}.out.json"))
     }
 

@@ -14,7 +14,7 @@
 //!   exercises client-side stall detection.
 //!
 //! The plan for connection `k` under seed `s` is a pure function of `(s, k)`
-//! ([`plan_for_conn`]), so a chaos run is reproducible: same seed, same
+//! (`plan_for_conn`), so a chaos run is reproducible: same seed, same
 //! faults in the same order. Requests (client→daemon) are forwarded
 //! untouched — chaos corrupts *delivery*, never *content*, so any wrong
 //! bytes surfacing downstream are the daemon's fault, which is the point of
@@ -67,7 +67,7 @@ pub enum FaultPlan {
 /// The deterministic fault plan for connection `conn_id` under `seed`.
 /// Roughly half the connections are clean; the rest split between hard
 /// drops and stall-then-drops.
-pub fn plan_for_conn(seed: u64, conn_id: u64) -> FaultPlan {
+fn plan_for_conn(seed: u64, conn_id: u64) -> FaultPlan {
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ conn_id.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let roll: f64 = rng.gen_range(0.0..1.0);
     if roll < 0.5 {

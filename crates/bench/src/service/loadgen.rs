@@ -147,7 +147,7 @@ pub struct PlannedRequest {
 /// Roughly `stream_frac` of requests (chosen by the same seeded RNG) are
 /// sent streamed — duplicates included, so streamed and plain requests
 /// provably share digests and cache entries.
-pub fn request_stream(config: &LoadConfig) -> Vec<PlannedRequest> {
+fn request_stream(config: &LoadConfig) -> Vec<PlannedRequest> {
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x6c6f_6164);
     let dup_frac = config.dup_frac.clamp(0.0, 1.0);
     let stream_frac = config.stream_frac.clamp(0.0, 1.0);

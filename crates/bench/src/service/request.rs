@@ -72,7 +72,7 @@ pub enum DeploymentKind {
 
 impl DeploymentKind {
     /// The wire name.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             DeploymentKind::Uniform => "uniform",
             DeploymentKind::Corridor => "corridor",
@@ -81,7 +81,7 @@ impl DeploymentKind {
     }
 
     /// Parses a wire name.
-    pub fn parse(name: &str) -> Option<Self> {
+    fn parse(name: &str) -> Option<Self> {
         match name {
             "uniform" => Some(DeploymentKind::Uniform),
             "corridor" => Some(DeploymentKind::Corridor),
@@ -915,14 +915,6 @@ pub struct ParsedResponse {
     pub records: Option<Vec<String>>,
 }
 
-impl ParsedResponse {
-    /// Whether this line resolves its request (everything except a
-    /// `progress` frame, which promises more lines for the same id).
-    pub fn is_final(&self) -> bool {
-        self.status != "progress"
-    }
-}
-
 /// Parses a response line.
 ///
 /// # Errors
@@ -1143,7 +1135,6 @@ mod tests {
         let parsed = parse_response(&shed).expect("parses");
         assert_eq!(parsed.status, "overloaded");
         assert_eq!(parsed.retry_after_ms, Some(125));
-        assert!(parsed.is_final());
 
         let bad = invalid_line("q8", "request line exceeds 262144 bytes");
         let parsed = parse_response(&bad).expect("parses");
@@ -1373,7 +1364,6 @@ mod tests {
         let parsed = parse_response(&line).expect("frame parses");
         assert_eq!(parsed.status, "progress");
         assert_eq!(parsed.seq, Some(0));
-        assert!(!parsed.is_final());
         for record in parsed.records.expect("frame carries records") {
             wrsn::sim::obs::from_jsonl_line(&record).expect("record is a valid trace line");
         }

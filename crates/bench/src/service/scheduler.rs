@@ -80,7 +80,7 @@ impl Reply {
     }
 
     /// An intermediate progress frame.
-    pub fn frame(line: String) -> Self {
+    fn frame(line: String) -> Self {
         Reply { line, fin: false }
     }
 }
@@ -191,7 +191,7 @@ impl ServiceCounters {
     /// thread count — every payload's world runs with, so a campaign
     /// driver can record *how* its numbers were produced without parsing the
     /// daemon's environment.
-    pub fn to_value(&self) -> Value {
+    fn to_value(&self) -> Value {
         let u = |c: &AtomicU64| Value::U64(c.load(Ordering::Relaxed));
         Value::Map(vec![
             (

@@ -1,14 +1,14 @@
 //! Small statistics helpers for multi-seed sweeps and latency reporting.
 //!
 //! Order statistics over an *empty* sample are explicit: [`min`], [`max`],
-//! and [`percentile`] return `None` instead of a sentinel. The old contract
+//! and `percentile` return `None` instead of a sentinel. The old contract
 //! (`0.0` for empty input) read as a real measurement downstream — a latency
 //! dashboard would show "0 ms worst-case" for a window that simply had no
 //! samples. `Option<f64>` serializes as JSON `null` through the vendored
 //! serde, which is what the `wrsnd` latency reports emit.
 
 /// Mean of `xs` (0 for an empty slice).
-pub fn mean(xs: &[f64]) -> f64 {
+fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
     } else {
@@ -17,7 +17,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Sample standard deviation of `xs` (0 for fewer than two samples).
-pub fn std_dev(xs: &[f64]) -> f64 {
+fn std_dev(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -51,7 +51,7 @@ pub fn max(xs: &[f64]) -> Option<f64> {
 /// tooling uses, so `percentile(xs, 50.0)` of two samples is their midpoint.
 ///
 /// Returns `None` for an empty sample or a non-finite / out-of-range `p`.
-pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
+fn percentile(xs: &[f64], p: f64) -> Option<f64> {
     if xs.is_empty() || !p.is_finite() || !(0.0..=100.0).contains(&p) {
         return None;
     }

@@ -20,7 +20,26 @@ use wrsn_bench::service::loadgen::{run_load, LoadConfig};
 use wrsn_bench::service::request::{parse_response, ParsedResponse};
 use wrsn_bench::service::server::MAX_LINE_BYTES;
 
-fn temp_dir(tag: &str) -> PathBuf {
+/// A fresh store directory, removed when the guard drops, so a test that
+/// fails midway leaves nothing behind. Declare it before the [`Daemon`]
+/// using it: locals drop in reverse order, so the daemon dies first.
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn temp_dir(tag: &str) -> TempDir {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "wrsnd-ov-{tag}-{}-{}",
@@ -28,7 +47,7 @@ fn temp_dir(tag: &str) -> PathBuf {
         SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    TempDir(dir)
 }
 
 /// A running daemon plus the address it bound.
@@ -203,7 +222,6 @@ fn a_full_queue_sheds_typed_and_retries_land_byte_identically() {
     drop(client);
     drop(busy);
     daemon.shutdown();
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 /// A scenario slow enough (seconds, debug build) to stream many progress
@@ -250,7 +268,6 @@ fn a_mid_stream_disconnect_cancels_the_run_and_leaves_the_cache_valid() {
     assert_eq!(replay.result_canonical.as_deref(), Some(bytes.as_str()));
     drop(conn);
     daemon.shutdown();
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
@@ -297,8 +314,6 @@ fn streamed_and_plain_responses_share_digest_and_final_bytes() {
     assert_eq!(streamed.result_canonical, plain.result_canonical);
     drop(conn);
     daemon.shutdown();
-    let _ = std::fs::remove_dir_all(&store);
-    let _ = std::fs::remove_dir_all(&cold);
 }
 
 /// Pipelined cache hits on a 320-node result come back well inside the
@@ -345,7 +360,6 @@ fn pipelined_cache_hits_are_not_held_back_by_nagle() {
     );
     drop(conn);
     daemon.shutdown();
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
@@ -378,7 +392,6 @@ fn an_oversized_request_line_is_rejected_typed_and_the_connection_closed() {
     assert!(daemon.stat_u64("requests_oversized") >= 1);
     drop(conn);
     daemon.shutdown();
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
@@ -403,7 +416,6 @@ fn a_deadline_beyond_a_duration_is_a_typed_error_on_a_live_connection() {
     assert_eq!(pong.status, "ok");
     drop(conn);
     daemon.shutdown();
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
@@ -431,7 +443,6 @@ fn a_deeply_nested_line_is_a_typed_error_on_a_live_connection() {
     assert_eq!(conn.request(r#"{"op":"ping"}"#).status, "ok");
     drop(conn);
     daemon.shutdown();
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
@@ -463,7 +474,6 @@ fn idle_connections_are_reaped_but_waiting_clients_are_not() {
     );
     assert!(daemon.stat_u64("conns_reaped") >= 1);
     daemon.shutdown();
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
@@ -504,7 +514,6 @@ fn a_load_run_through_the_chaos_proxy_converges_with_zero_violations() {
     assert_eq!(pong.status, "ok");
     drop(conn);
     daemon.shutdown();
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 const SCENARIO_A: &str =
@@ -558,7 +567,7 @@ fn sigkill_mid_request_then_restart_serves_the_same_digest_byte_identically() {
         Some(bytes.as_str()),
         "replayed artifact must be byte-identical across the crash"
     );
-    for entry in std::fs::read_dir(&store).expect("read store") {
+    for entry in std::fs::read_dir(&*store).expect("read store") {
         let name = entry.expect("entry").file_name();
         let name = name.to_string_lossy().into_owned();
         assert!(
@@ -573,7 +582,6 @@ fn sigkill_mid_request_then_restart_serves_the_same_digest_byte_identically() {
     assert_eq!(fresh.cache.as_deref(), Some("miss"));
     drop(conn);
     daemon.shutdown();
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
@@ -599,7 +607,6 @@ fn a_panicked_worker_thread_is_reused_cleanly() {
     );
     drop(conn);
     daemon.shutdown();
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
@@ -621,7 +628,6 @@ fn deadlines_cancel_hung_requests_without_taking_the_daemon_down() {
     assert_eq!(after.status, "ok", "error: {:?}", after.error);
     drop(conn);
     daemon.shutdown();
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
@@ -647,5 +653,4 @@ fn ping_and_stats_report_service_state() {
     );
     drop(conn);
     daemon.shutdown();
-    let _ = std::fs::remove_dir_all(&store);
 }

@@ -21,6 +21,7 @@
 //! WRSN_BLESS=1 cargo test --release -p wrsn-bench --test golden_roc_digest
 //! ```
 
+use wrsn::sim::obs::NullRecorder;
 use wrsn_bench::experiments::arms_race;
 use wrsn_bench::table::Table;
 
@@ -42,7 +43,7 @@ fn digest(tables: &[Table]) -> u64 {
 }
 
 /// Row index into the ROC table: presets outermost, then policies, then
-/// fault intensities — the sweep order `arms_race::run_with` emits.
+/// fault intensities — the sweep order `arms_race::run` emits.
 fn row(preset: &str, policy: &str, intensity: usize) -> usize {
     let p = arms_race::PRESETS
         .iter()
@@ -61,7 +62,7 @@ fn row(preset: &str, policy: &str, intensity: usize) -> usize {
 
 #[test]
 fn arms_race_roc_artifact_matches_golden_digest_and_contract() {
-    let tables = arms_race::run();
+    let tables = arms_race::run(&mut NullRecorder);
     assert_eq!(tables.len(), 2, "ROC grid + summary");
     let roc = &tables[0];
     const DETECT: usize = 3;

@@ -138,7 +138,9 @@ proptest! {
 
 /// Parser faults found while these fuzzers were written, shrunk: `1e400`
 /// parsed to an infinity nothing could re-encode, `-0` lost its sign, and
-/// `\u+0e9` took a sign for a hex digit. `serde_json`'s unit tests pin each.
+/// `\u+0e9` took a sign for a hex digit. Later, numbers with leading zeros
+/// or bare decimal points, and strings holding raw control characters,
+/// parsed although they are not JSON. `serde_json`'s unit tests pin each.
 #[test]
 fn parser_regressions_stay_fixed() {
     for text in [
@@ -149,5 +151,20 @@ fn parser_regressions_stay_fixed() {
         r#"{"id":"x","exp":[[[["#,
     ] {
         check_line(text);
+    }
+    for text in [
+        "01",
+        "-01",
+        "1.",
+        "00.5",
+        "1.e5",
+        "\"\x01\"",
+        "{\"id\":\"a\tb\",\"exp\":\"fig2\"}",
+    ] {
+        check_line(text);
+        assert!(
+            serde_json::from_str::<Value>(text).is_err(),
+            "{text:?} is not JSON"
+        );
     }
 }

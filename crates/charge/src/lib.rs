@@ -86,10 +86,13 @@ mod tests {
         );
         world.set_battery_level(NodeId(0), 100.0).unwrap();
         let tree = world.tree().clone();
+        let load =
+            wrsn_net::routing::traffic_load(world.network(), &tree, &world.network().alive_mask());
         let view = WorldView {
             time_s: 0.0,
             net: world.network(),
             tree: &tree,
+            load: &load,
             power_w: world.power_w(),
             charger: world.charger(),
             requests: &[],

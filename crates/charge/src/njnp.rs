@@ -209,10 +209,12 @@ mod tests {
         let net = Network::build(nodes, Point::new(30.0, 30.0), 40.0);
         let charger = MobileCharger::standard(Point::new(30.0, 30.0));
         let tree = wrsn_net::routing::RoutingTree::shortest_path(&net, &net.alive_mask());
+        let load = wrsn_net::routing::traffic_load(&net, &tree, &net.alive_mask());
         let view = WorldView {
             time_s: 0.0,
             net: &net,
             tree: &tree,
+            load: &load,
             power_w: &[0.0; 4],
             charger: &charger,
             requests: &[],

@@ -8,7 +8,7 @@ use wrsn_sim::obs::{Counter, NullRecorder, Recorder};
 use wrsn_sim::{ChargeMode, ChargerAction, ChargerPolicy, WorldView};
 
 use crate::refill_duration_s;
-use crate::tour::plan_tour_with;
+use crate::tour::plan_tour;
 
 /// State of the periodic tour.
 #[derive(Debug, Clone)]
@@ -80,7 +80,7 @@ impl PeriodicTsp {
             .iter()
             .map(|id| view.net.positions()[id.0])
             .collect();
-        let (order, _) = plan_tour_with(view.charger.position(), &points, rec);
+        let (order, _) = plan_tour(view.charger.position(), &points, rec);
         order.into_iter().map(|i| candidates[i]).collect()
     }
 

@@ -4,11 +4,11 @@
 //! attack planner in `wrsn-core` to order victim visits.
 
 use wrsn_net::geom::{path_length, Point};
-use wrsn_sim::obs::{Counter, NullRecorder, Recorder};
+use wrsn_sim::obs::{Counter, Recorder};
 
 /// Builds a visiting order over `points` starting from `start` by repeatedly
 /// hopping to the nearest unvisited point. Returns indices into `points`.
-pub fn nearest_neighbor_order(start: Point, points: &[Point]) -> Vec<usize> {
+fn nearest_neighbor_order(start: Point, points: &[Point]) -> Vec<usize> {
     let n = points.len();
     let mut visited = vec![false; n];
     let mut order = Vec::with_capacity(n);
@@ -36,7 +36,7 @@ pub fn nearest_neighbor_order(start: Point, points: &[Point]) -> Vec<usize> {
 
 /// Total length of the open tour `start → points[order[0]] → … →
 /// points[order[n-1]]`, metres.
-pub fn tour_length(start: Point, points: &[Point], order: &[usize]) -> f64 {
+fn tour_length(start: Point, points: &[Point], order: &[usize]) -> f64 {
     let mut path = Vec::with_capacity(order.len() + 1);
     path.push(start);
     path.extend(order.iter().map(|&i| points[i]));
@@ -44,15 +44,10 @@ pub fn tour_length(start: Point, points: &[Point], order: &[usize]) -> f64 {
 }
 
 /// Improves `order` in place with 2-opt moves (segment reversal) until no
-/// improving move exists or `max_rounds` passes complete. Returns the final
+/// improving move exists or `max_rounds` passes complete, counting accepted
+/// reversals ([`Counter::TourTwoOptMoves`]) into `rec`. Returns the final
 /// tour length.
-pub fn two_opt(start: Point, points: &[Point], order: &mut [usize], max_rounds: usize) -> f64 {
-    two_opt_with(start, points, order, max_rounds, &mut NullRecorder)
-}
-
-/// Like [`two_opt`], but counts accepted reversals
-/// ([`Counter::TourTwoOptMoves`]) into `rec`.
-pub fn two_opt_with(
+fn two_opt(
     start: Point,
     points: &[Point],
     order: &mut [usize],
@@ -105,28 +100,24 @@ pub fn two_opt_with(
     tour_length(start, points, order)
 }
 
-/// Convenience: nearest-neighbour + 2-opt tour over `points` from `start`.
-/// Returns `(order, length_m)`.
+/// Nearest-neighbour + 2-opt tour over `points` from `start`, counting
+/// accepted 2-opt reversals into `rec`. Returns `(order, length_m)`.
 ///
 /// # Example
 ///
 /// ```
 /// use wrsn_net::Point;
 /// use wrsn_charge::tour::plan_tour;
+/// use wrsn_sim::obs::NullRecorder;
 ///
 /// let pts = vec![Point::new(0.0, 10.0), Point::new(0.0, 20.0), Point::new(0.0, 5.0)];
-/// let (order, len) = plan_tour(Point::ORIGIN, &pts);
+/// let (order, len) = plan_tour(Point::ORIGIN, &pts, &mut NullRecorder);
 /// assert_eq!(order, vec![2, 0, 1]);
 /// assert!((len - 20.0).abs() < 1e-9);
 /// ```
-pub fn plan_tour(start: Point, points: &[Point]) -> (Vec<usize>, f64) {
-    plan_tour_with(start, points, &mut NullRecorder)
-}
-
-/// Like [`plan_tour`], but counts accepted 2-opt reversals into `rec`.
-pub fn plan_tour_with(start: Point, points: &[Point], rec: &mut dyn Recorder) -> (Vec<usize>, f64) {
+pub fn plan_tour(start: Point, points: &[Point], rec: &mut dyn Recorder) -> (Vec<usize>, f64) {
     let mut order = nearest_neighbor_order(start, points);
-    let len = two_opt_with(start, points, &mut order, 64, rec);
+    let len = two_opt(start, points, &mut order, 64, rec);
     (order, len)
 }
 
@@ -136,6 +127,7 @@ mod tests {
     use rand::Rng;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use wrsn_sim::obs::NullRecorder;
 
     fn random_points(n: usize, seed: u64) -> Vec<Point> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -159,7 +151,7 @@ mod tests {
             let pts = random_points(15, seed);
             let mut order = nearest_neighbor_order(Point::ORIGIN, &pts);
             let before = tour_length(Point::ORIGIN, &pts, &order);
-            let after = two_opt(Point::ORIGIN, &pts, &mut order, 64);
+            let after = two_opt(Point::ORIGIN, &pts, &mut order, 64, &mut NullRecorder);
             assert!(after <= before + 1e-9, "seed {seed}: {after} > {before}");
             let mut sorted = order.clone();
             sorted.sort_unstable();
@@ -179,16 +171,16 @@ mod tests {
         ];
         let mut order = vec![0, 2, 1, 3];
         let before = tour_length(Point::ORIGIN, &pts, &order);
-        let after = two_opt(Point::ORIGIN, &pts, &mut order, 64);
+        let after = two_opt(Point::ORIGIN, &pts, &mut order, 64, &mut NullRecorder);
         assert!(after < before - 1e-9, "{after} !< {before}");
     }
 
     #[test]
     fn empty_and_single_point_tours() {
-        let (order, len) = plan_tour(Point::ORIGIN, &[]);
+        let (order, len) = plan_tour(Point::ORIGIN, &[], &mut NullRecorder);
         assert!(order.is_empty());
         assert_eq!(len, 0.0);
-        let (order, len) = plan_tour(Point::ORIGIN, &[Point::new(3.0, 4.0)]);
+        let (order, len) = plan_tour(Point::ORIGIN, &[Point::new(3.0, 4.0)], &mut NullRecorder);
         assert_eq!(order, vec![0]);
         assert!((len - 5.0).abs() < 1e-12);
     }
@@ -196,7 +188,7 @@ mod tests {
     #[test]
     fn collinear_points_are_visited_in_order() {
         let pts: Vec<Point> = (1..=5).map(|i| Point::new(i as f64 * 10.0, 0.0)).collect();
-        let (order, len) = plan_tour(Point::ORIGIN, &pts);
+        let (order, len) = plan_tour(Point::ORIGIN, &pts, &mut NullRecorder);
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
         assert!((len - 50.0).abs() < 1e-9);
     }

@@ -2,8 +2,8 @@
 //!
 //! [`CsaAttackPolicy`] is the full paper pipeline as a
 //! [`wrsn_sim::ChargerPolicy`]: derive the TIDE instance on first decision,
-//! plan with a pluggable [`Planner`], then execute each stop — wait for the
-//! window, drive over, radiate a full-length *spoofed* charge.
+//! plan it with CSA ([`crate::csa::plan_with`]), then execute each stop — wait
+//! for the window, drive over, radiate a full-length *spoofed* charge.
 //!
 //! [`EagerSpoofPolicy`] is the window-*oblivious* strawman: it spoofs every
 //! charging request the moment it arrives. It exhausts nodes too, but its
@@ -14,7 +14,7 @@ use wrsn_net::{keynode, NodeId};
 use wrsn_sim::obs::{Counter, NullRecorder, Recorder};
 use wrsn_sim::{ChargeMode, ChargerAction, ChargerPolicy, SimReport, World, WorldView};
 
-use crate::baseline::{CsaPlanner, Planner};
+use crate::csa::{self, CsaOptions};
 use crate::schedule::AttackSchedule;
 use crate::tide::{TideConfig, TideInstance};
 
@@ -37,7 +37,6 @@ use crate::tide::{TideConfig, TideInstance};
 /// ```
 pub struct CsaAttackPolicy {
     config: TideConfig,
-    planner: Box<dyn Planner>,
     replan_every_stop: bool,
     /// Serve ordinary nodes' requests *honestly* between masquerades: the
     /// malicious MC is the network's charger, and a healthy-looking rest of
@@ -88,16 +87,8 @@ impl std::fmt::Debug for CsaAttackPolicy {
 impl CsaAttackPolicy {
     /// An adaptive attack driven by the CSA planner.
     pub fn new(config: TideConfig) -> Self {
-        CsaAttackPolicy::with_planner(config, Box::new(CsaPlanner))
-    }
-
-    /// An adaptive attack driven by an arbitrary planner (baselines,
-    /// ablations).
-    pub fn with_planner(config: TideConfig, planner: Box<dyn Planner>) -> Self {
-        let name = format!("attack-{}", planner.name());
         CsaAttackPolicy {
             config,
-            planner,
             replan_every_stop: true,
             serve_decoys: true,
             plan_age_limit_s: 3_600.0,
@@ -111,7 +102,7 @@ impl CsaAttackPolicy {
             decoy_excluded: Vec::new(),
             targets: Vec::new(),
             initial_instance: None,
-            name,
+            name: "attack-csa".to_string(),
         }
     }
 
@@ -196,14 +187,14 @@ impl CsaAttackPolicy {
                     TideInstance::for_targets(view.net, &cfg, &self.unserved)
                 }
             }
-            // The first census: the engine's tree and power are those of
-            // the live alive mask, so rank on them instead of building two
-            // more shortest-path trees. Bitwise equal to
+            // The first census: the engine's traffic load and power are
+            // those of the live alive mask, so rank on them instead of
+            // building two more shortest-path trees. Bitwise equal to
             // `TideInstance::from_network_excluding`.
             None => {
                 let mask = view.net.alive_mask();
                 let keys: Vec<(NodeId, f64)> =
-                    keynode::identify_with_tree(view.net, &mask, view.tree, &cfg.keynode)
+                    keynode::identify_with_load(view.net, &mask, view.load, &cfg.keynode)
                         .into_iter()
                         .filter(|k| !self.served.contains(&k.id))
                         .map(|k| (k.id, k.weight))
@@ -220,7 +211,7 @@ impl CsaAttackPolicy {
     fn replan(&mut self, view: &WorldView<'_>, rec: &mut dyn Recorder) {
         rec.add(Counter::Replans, 1);
         let instance = self.make_instance(view);
-        let schedule = self.planner.plan_obs(&instance, rec);
+        let schedule = csa::plan_with(&instance, &CsaOptions::default(), rec);
         self.next_stop = 0;
         self.plan_made_at_s = view.time_s;
         self.plan = Some((instance, schedule));
@@ -759,10 +750,16 @@ mod tests {
                 };
                 world.set_battery_level(NodeId(i), level).unwrap();
             }
+            let load = wrsn_net::routing::traffic_load(
+                world.network(),
+                world.tree(),
+                &world.network().alive_mask(),
+            );
             let view = WorldView {
                 time_s: world.time_s(),
                 net: world.network(),
                 tree: world.tree(),
+                load: &load,
                 power_w: world.power_w(),
                 charger: world.charger(),
                 requests: world.requests(),
@@ -873,10 +870,13 @@ mod tests {
         assert!(policy.plan().is_none());
         // Trigger one decision.
         let tree = world.tree().clone();
+        let load =
+            wrsn_net::routing::traffic_load(world.network(), &tree, &world.network().alive_mask());
         let view = WorldView {
             time_s: 0.0,
             net: world.network(),
             tree: &tree,
+            load: &load,
             power_w: world.power_w(),
             charger: world.charger(),
             requests: &[],

@@ -10,6 +10,9 @@
 //! All share the skip-if-infeasible execution semantics of
 //! [`crate::schedule::from_order_skipping`], so every baseline emits a valid
 //! schedule — they just pick worse orders than CSA.
+//!
+//! [`Planner`] exists for that comparison (`fig5`, `tab1`): the attack policy
+//! itself, [`crate::attack::CsaAttackPolicy`], always plans with CSA.
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -24,16 +27,10 @@ use crate::tide::TideInstance;
 
 /// A TIDE planner: turns an instance into a feasible schedule.
 pub trait Planner {
-    /// Plans a feasible attack schedule.
-    fn plan(&self, instance: &TideInstance) -> AttackSchedule;
-
-    /// Like [`Planner::plan`], but with a [`Recorder`] for planner counters
-    /// (probes, fallbacks, 2-opt moves). The default ignores the recorder;
-    /// instrumented planners override it.
-    fn plan_obs(&self, instance: &TideInstance, rec: &mut dyn Recorder) -> AttackSchedule {
-        let _ = rec;
-        self.plan(instance)
-    }
+    /// Plans a feasible attack schedule, counting planner work (probes,
+    /// fallbacks, 2-opt moves) into `rec`. Planners without counters ignore
+    /// it; it never influences the plan.
+    fn plan(&self, instance: &TideInstance, rec: &mut dyn Recorder) -> AttackSchedule;
 
     /// Short name used in experiment tables.
     fn name(&self) -> &str;
@@ -44,12 +41,8 @@ pub trait Planner {
 pub struct CsaPlanner;
 
 impl Planner for CsaPlanner {
-    fn plan(&self, instance: &TideInstance) -> AttackSchedule {
-        csa::plan(instance)
-    }
-
-    fn plan_obs(&self, instance: &TideInstance, rec: &mut dyn Recorder) -> AttackSchedule {
-        csa::plan_with_obs(instance, &csa::CsaOptions::default(), rec)
+    fn plan(&self, instance: &TideInstance, rec: &mut dyn Recorder) -> AttackSchedule {
+        csa::plan_with(instance, &csa::CsaOptions::default(), rec)
     }
 
     fn name(&self) -> &str {
@@ -65,7 +58,7 @@ pub struct RandomPlanner {
 }
 
 impl Planner for RandomPlanner {
-    fn plan(&self, instance: &TideInstance) -> AttackSchedule {
+    fn plan(&self, instance: &TideInstance, _rec: &mut dyn Recorder) -> AttackSchedule {
         let mut order: Vec<usize> = (0..instance.victims.len()).collect();
         order.shuffle(&mut ChaCha8Rng::seed_from_u64(self.seed));
         from_order_skipping(instance, &order)
@@ -81,7 +74,7 @@ impl Planner for RandomPlanner {
 pub struct GreedyUtilityPlanner;
 
 impl Planner for GreedyUtilityPlanner {
-    fn plan(&self, instance: &TideInstance) -> AttackSchedule {
+    fn plan(&self, instance: &TideInstance, _rec: &mut dyn Recorder) -> AttackSchedule {
         let mut order: Vec<usize> = (0..instance.victims.len()).collect();
         order.sort_by(|&a, &b| {
             instance.victims[b]
@@ -103,15 +96,9 @@ impl Planner for GreedyUtilityPlanner {
 pub struct TspPlanner;
 
 impl Planner for TspPlanner {
-    fn plan(&self, instance: &TideInstance) -> AttackSchedule {
+    fn plan(&self, instance: &TideInstance, rec: &mut dyn Recorder) -> AttackSchedule {
         let points: Vec<Point> = instance.victims.iter().map(|v| v.position).collect();
-        let (order, _) = wrsn_charge::tour::plan_tour(instance.start, &points);
-        from_order_skipping(instance, &order)
-    }
-
-    fn plan_obs(&self, instance: &TideInstance, rec: &mut dyn Recorder) -> AttackSchedule {
-        let points: Vec<Point> = instance.victims.iter().map(|v| v.position).collect();
-        let (order, _) = wrsn_charge::tour::plan_tour_with(instance.start, &points, rec);
+        let (order, _) = wrsn_charge::tour::plan_tour(instance.start, &points, rec);
         from_order_skipping(instance, &order)
     }
 
@@ -135,6 +122,7 @@ mod tests {
     use super::*;
     use crate::tide::{TimeWindow, Victim};
     use wrsn_net::NodeId;
+    use wrsn_sim::obs::NullRecorder;
 
     fn instance(n: usize, budget: f64) -> TideInstance {
         let victims = (0..n)
@@ -165,7 +153,7 @@ mod tests {
     fn every_planner_emits_valid_schedules() {
         let inst = instance(8, 800.0);
         for planner in standard_planners(7) {
-            let s = planner.plan(&inst);
+            let s = planner.plan(&inst, &mut NullRecorder);
             inst.validate(&s)
                 .unwrap_or_else(|e| panic!("{}: {e}", planner.name()));
         }
@@ -175,9 +163,9 @@ mod tests {
     fn csa_matches_or_beats_every_baseline() {
         for &budget in &[200.0, 500.0, 2_000.0] {
             let inst = instance(8, budget);
-            let csa_u = inst.utility(&CsaPlanner.plan(&inst));
+            let csa_u = inst.utility(&CsaPlanner.plan(&inst, &mut NullRecorder));
             for planner in standard_planners(3).into_iter().skip(1) {
-                let u = inst.utility(&planner.plan(&inst));
+                let u = inst.utility(&planner.plan(&inst, &mut NullRecorder));
                 assert!(
                     csa_u + 1e-9 >= u,
                     "budget {budget}: {} got {u}, csa {csa_u}",
@@ -190,9 +178,9 @@ mod tests {
     #[test]
     fn random_planner_is_seed_deterministic() {
         let inst = instance(8, 800.0);
-        let a = RandomPlanner { seed: 5 }.plan(&inst);
-        let b = RandomPlanner { seed: 5 }.plan(&inst);
-        let c = RandomPlanner { seed: 6 }.plan(&inst);
+        let a = RandomPlanner { seed: 5 }.plan(&inst, &mut NullRecorder);
+        let b = RandomPlanner { seed: 5 }.plan(&inst, &mut NullRecorder);
+        let c = RandomPlanner { seed: 6 }.plan(&inst, &mut NullRecorder);
         assert_eq!(a, b);
         // Different seeds usually give different orders (not guaranteed, but
         // true for this instance).
@@ -202,7 +190,7 @@ mod tests {
     #[test]
     fn greedy_utility_prefers_heavy_victims() {
         let inst = instance(5, 1.0e9);
-        let s = GreedyUtilityPlanner.plan(&inst);
+        let s = GreedyUtilityPlanner.plan(&inst, &mut NullRecorder);
         // Victim 0 has the highest weight and is served.
         assert!(s.order().contains(&0));
     }

@@ -96,20 +96,14 @@ impl Default for CsaOptions {
 /// inst.validate(&plan).unwrap();
 /// ```
 pub fn plan(instance: &TideInstance) -> AttackSchedule {
-    plan_with(instance, &CsaOptions::default())
+    plan_with(instance, &CsaOptions::default(), &mut NullRecorder)
 }
 
-/// Plans with explicit options (ablation entry point).
-pub fn plan_with(instance: &TideInstance, opts: &CsaOptions) -> AttackSchedule {
-    plan_with_obs(instance, opts, &mut NullRecorder)
-}
-
-/// Plans with explicit options, counting planner work into `rec`: candidate
-/// probes, exact slack-band fallbacks, accepted insertions and 2-opt moves —
-/// the counters that explain the incremental planner's speedup. A
-/// [`NullRecorder`] makes this exactly [`plan_with`]; the recorder never
-/// influences the plan.
-pub fn plan_with_obs(
+/// Plans with explicit options (the ablation entry point), counting planner
+/// work into `rec`: candidate probes, exact slack-band fallbacks, accepted
+/// insertions and 2-opt moves — the counters that explain the incremental
+/// planner's speedup. The recorder never influences the plan.
+pub fn plan_with(
     instance: &TideInstance,
     opts: &CsaOptions,
     rec: &mut dyn Recorder,
@@ -184,7 +178,7 @@ pub fn plan_with_obs(
     // baselines by construction on every instance, not just on average.
     let mut candidates = vec![greedy, best_singleton(instance)];
     let points: Vec<wrsn_net::Point> = instance.victims.iter().map(|v| v.position).collect();
-    let (tsp_order, _) = wrsn_charge::tour::plan_tour_with(instance.start, &points, rec);
+    let (tsp_order, _) = wrsn_charge::tour::plan_tour(instance.start, &points, rec);
     candidates.push(schedule::from_order_skipping(instance, &tsp_order));
     let mut weight_order: Vec<usize> = (0..n).collect();
     weight_order.sort_by(|&a, &b| {
@@ -536,13 +530,14 @@ mod tests {
         inst.victims[7].position = Point::new(2_000.0, 0.0);
         inst.victims[7].weight = 1.6;
         inst.budget_j = 600.0; // far victim alone: 2000 travel — unaffordable
-        let with_ratio = plan_with(&inst, &CsaOptions::default());
+        let with_ratio = plan_with(&inst, &CsaOptions::default(), &mut NullRecorder);
         let without = plan_with(
             &inst,
             &CsaOptions {
                 ratio_ordering: false,
                 ..CsaOptions::default()
             },
+            &mut NullRecorder,
         );
         inst.validate(&with_ratio).unwrap();
         inst.validate(&without).unwrap();
@@ -562,8 +557,9 @@ mod tests {
                 latest_start: false,
                 ..CsaOptions::default()
             },
+            &mut NullRecorder,
         );
-        let late = plan_with(&inst, &CsaOptions::default());
+        let late = plan_with(&inst, &CsaOptions::default(), &mut NullRecorder);
         inst.validate(&late).unwrap();
         assert_eq!(early.order(), late.order());
         let sum_early: f64 = early.stops().iter().map(|s| s.begin_s).sum();

@@ -77,7 +77,7 @@ impl Deserialize for DetectionReport {
 
 impl DetectionReport {
     /// A report over `alarms` from the named detector.
-    pub fn new(detector: impl Into<String>, alarms: Vec<Alarm>) -> Self {
+    fn new(detector: impl Into<String>, alarms: Vec<Alarm>) -> Self {
         DetectionReport {
             detector: detector.into(),
             alarms,
@@ -91,7 +91,7 @@ impl DetectionReport {
     }
 
     /// The set of nodes with at least one alarm (indexed once per report).
-    pub fn flagged_nodes(&self) -> &std::collections::HashSet<NodeId> {
+    fn flagged_nodes(&self) -> &std::collections::HashSet<NodeId> {
         self.by_node
             .get_or_init(|| self.alarms.iter().map(|a| a.node).collect())
     }
@@ -472,48 +472,6 @@ pub fn standard_detectors() -> Vec<Box<dyn Detector>> {
     ]
 }
 
-/// Runs the whole suite and returns, per detector, whether *any* of `victims`
-/// was flagged before its own death (an alarm after the victim is already
-/// exhausted comes too late to save it, but still reveals the attack — both
-/// views are reported).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SuiteVerdict {
-    /// Per-detector reports.
-    pub reports: Vec<DetectionReport>,
-}
-
-impl SuiteVerdict {
-    /// Fraction of `victims` flagged by any detector, or `None` for an empty
-    /// victim list (same convention as [`DetectionReport::detection_ratio`]).
-    pub fn overall_detection_ratio(&self, victims: &[NodeId]) -> Option<f64> {
-        if victims.is_empty() {
-            return None;
-        }
-        Some(
-            victims
-                .iter()
-                .filter(|&&v| self.reports.iter().any(|r| r.flagged(v)))
-                .count() as f64
-                / victims.len() as f64,
-        )
-    }
-
-    /// Total alarms across the suite.
-    pub fn total_alarms(&self) -> usize {
-        self.reports.iter().map(DetectionReport::alarm_count).sum()
-    }
-}
-
-/// Analyses `world` with [`standard_detectors`].
-pub fn run_suite(world: &World) -> SuiteVerdict {
-    SuiteVerdict {
-        reports: standard_detectors()
-            .iter()
-            .map(|d| d.analyze(world))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -717,33 +675,6 @@ mod tests {
         let mut world = attack_world(300_000.0);
         world.run(&mut IdlePolicy).expect("run");
         assert_eq!(TwinAudit.analyze(&world).alarm_count(), 0);
-    }
-
-    #[test]
-    fn suite_verdict_aggregates() {
-        let mut world = attack_world(300_000.0);
-        world.run(&mut IdlePolicy).expect("run");
-        let verdict = SuiteVerdict {
-            reports: vec![
-                TrajectoryAudit {
-                    max_response_s: 100_000.0,
-                }
-                .analyze(&world),
-                RadiatedPowerAudit::default().analyze(&world),
-                EnergyReportAudit::default().analyze(&world),
-            ],
-        };
-        assert_eq!(verdict.reports.len(), 3);
-        assert!(verdict.total_alarms() > 0);
-        let all: Vec<NodeId> = world.network().ids().collect();
-        assert!(
-            verdict
-                .overall_detection_ratio(&all)
-                .expect("nodes nonempty")
-                > 0.0
-        );
-        // The standard suite exists and runs, too.
-        assert_eq!(run_suite(&world).reports.len(), 3);
     }
 
     #[test]

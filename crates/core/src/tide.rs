@@ -37,11 +37,6 @@ impl TimeWindow {
     pub fn contains(&self, t: f64) -> bool {
         (self.open_s..=self.close_s).contains(&t)
     }
-
-    /// Window length, seconds.
-    pub fn length_s(&self) -> f64 {
-        self.close_s - self.open_s
-    }
 }
 
 /// One attackable key node.
@@ -500,13 +495,12 @@ mod tests {
     }
 
     #[test]
-    fn window_contains_and_length() {
+    fn window_contains_its_bounds() {
         let w = TimeWindow {
             open_s: 10.0,
             close_s: 20.0,
         };
         assert!(w.contains(10.0) && w.contains(20.0) && w.contains(15.0));
         assert!(!w.contains(9.9) && !w.contains(20.1));
-        assert_eq!(w.length_s(), 10.0);
     }
 }

@@ -19,6 +19,7 @@ use rand_chacha::ChaCha8Rng;
 use wrsn_core::csa::{self, CsaOptions};
 use wrsn_core::tide::{TideInstance, TimeWindow, Victim};
 use wrsn_net::{NodeId, Point};
+use wrsn_sim::obs::NullRecorder;
 
 fn random_instance(n: usize, seed: u64, window: f64, budget: f64) -> TideInstance {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -55,6 +56,7 @@ mod reference {
     use wrsn_core::csa::CsaOptions;
     use wrsn_core::schedule::{self, AttackSchedule};
     use wrsn_core::tide::TideInstance;
+    use wrsn_sim::obs::NullRecorder;
 
     pub fn plan_with(instance: &TideInstance, opts: &CsaOptions) -> AttackSchedule {
         let n = instance.victims.len();
@@ -112,7 +114,8 @@ mod reference {
 
         let mut candidates = vec![greedy, wrsn_core::csa::best_singleton(instance)];
         let points: Vec<wrsn_net::Point> = instance.victims.iter().map(|v| v.position).collect();
-        let (tsp_order, _) = wrsn_charge::tour::plan_tour(instance.start, &points);
+        let (tsp_order, _) =
+            wrsn_charge::tour::plan_tour(instance.start, &points, &mut NullRecorder);
         candidates.push(schedule::from_order_skipping(instance, &tsp_order));
         let mut weight_order: Vec<usize> = (0..n).collect();
         weight_order.sort_by(|&a, &b| {
@@ -328,7 +331,7 @@ fn golden_instances_also_match_the_reference_under_all_option_combinations() {
                         latest_start,
                     };
                     assert_eq!(
-                        csa::plan_with(&inst, &opts),
+                        csa::plan_with(&inst, &opts, &mut NullRecorder),
                         reference::plan_with(&inst, &opts),
                         "divergence on n={n} seed={seed} opts={opts:?}"
                     );
@@ -355,7 +358,7 @@ proptest! {
     ) {
         let inst = random_instance(n, seed, window, budget);
         let opts = CsaOptions { ratio_ordering, route_improvement, latest_start };
-        let fast = csa::plan_with(&inst, &opts);
+        let fast = csa::plan_with(&inst, &opts, &mut NullRecorder);
         let naive = reference::plan_with(&inst, &opts);
         prop_assert_eq!(fast, naive);
     }

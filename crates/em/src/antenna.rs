@@ -103,7 +103,7 @@ impl Transmitter {
     }
 
     /// Euclidean distance from this transmitter to `(x, y)`, metres.
-    pub fn distance_to(&self, point: (f64, f64)) -> f64 {
+    fn distance_to(&self, point: (f64, f64)) -> f64 {
         let dx = self.position.0 - point.0;
         let dy = self.position.1 - point.1;
         dx.hypot(dy)

@@ -21,7 +21,7 @@ use crate::wave::Wave;
 /// The per-unit-drive channel matrix `H` (`victims × antennas`): entry
 /// `(j, i)` is the arrival phasor at victim `j` when antenna `i` transmits
 /// with unit power factor and zero phase.
-pub fn channel_matrix(antennas: &[Transmitter], victims: &[(f64, f64)]) -> Vec<Vec<Phasor>> {
+fn channel_matrix(antennas: &[Transmitter], victims: &[(f64, f64)]) -> Vec<Vec<Phasor>> {
     victims
         .iter()
         .map(|&v| {

@@ -124,14 +124,6 @@ impl CancelController {
             .wave_at(victim)
     }
 
-    /// Returns the helper transmitter configured per [`CancelController::solve`].
-    pub fn tuned_helper(&self, victim: (f64, f64)) -> Transmitter {
-        let sol = self.solve(victim);
-        self.helper
-            .with_power_factor(sol.helper_power_factor)
-            .with_phase(sol.helper_phase)
-    }
-
     /// Residual power at `victim` when the tuned helper suffers a phase error
     /// of `phase_err` radians and a relative amplitude error `amp_err`
     /// (e.g. `0.05` = 5 % too strong).
@@ -223,17 +215,5 @@ mod tests {
         let honest = c.solve(v).honest_power_w;
         // 10 % amplitude error → residual ≈ (0.1a)² = 1 % of honest power.
         assert!((r / honest - 0.01).abs() < 1e-6, "ratio = {}", r / honest);
-    }
-
-    #[test]
-    fn tuned_helper_reproduces_solution() {
-        let (p, h) = setup();
-        let c = CancelController::new(&p, &h);
-        let v = (1.4, -0.6);
-        let sol = c.solve(v);
-        let tuned = c.tuned_helper(v);
-        assert!((tuned.power_factor() - sol.helper_power_factor).abs() < 1e-12);
-        let residual = received_power(&[p.wave_at(v), tuned.wave_at(v)]);
-        assert!((residual - sol.residual_power_w).abs() < 1e-15);
     }
 }

@@ -8,26 +8,12 @@
 //! ```
 //!
 //! for the DC power a node harvests from a charger at distance `d`. This module
-//! provides that model ([`ChargeModel`]) plus the free-space Friis model
-//! ([`friis_power`]) from which it is fitted.
+//! provides that model ([`ChargeModel`]); its `β` offset keeps the free-space
+//! `1/d²` law finite at contact.
 
 use serde::{Deserialize, Serialize};
 
-use crate::constants;
 use crate::error::{positive, EmError};
-
-/// Free-space Friis received power, in watts.
-///
-/// `P_rx = P_tx · G_tx · G_rx · (λ / 4πd)²`. Diverges as `d → 0`, so callers
-/// should clamp `d` to the antenna near-field boundary; [`ChargeModel`] does
-/// this via its `β` offset.
-pub fn friis_power(tx_power_w: f64, tx_gain: f64, rx_gain: f64, wavelength_m: f64, d: f64) -> f64 {
-    if d <= 0.0 {
-        return f64::INFINITY;
-    }
-    let k = wavelength_m / (4.0 * std::f64::consts::PI * d);
-    tx_power_w * tx_gain * rx_gain * k * k
-}
 
 /// The empirical charging power model `P(d) = α/(d+β)²` with a cut-off range.
 ///
@@ -83,14 +69,9 @@ impl ChargeModel {
         self.beta
     }
 
-    /// Cut-off range beyond which no power is harvested, in metres.
-    pub fn max_range(&self) -> f64 {
-        self.max_range_m
-    }
-
     /// Harvested DC power at distance `d` metres, in watts.
     ///
-    /// Returns `0.0` beyond [`ChargeModel::max_range`] or for negative `d`.
+    /// Returns `0.0` beyond the cut-off range or for negative `d`.
     pub fn power_at(&self, d: f64) -> f64 {
         if !(0.0..=self.max_range_m).contains(&d) {
             return 0.0;
@@ -98,58 +79,12 @@ impl ChargeModel {
         let s = d + self.beta;
         self.alpha / (s * s)
     }
-
-    /// Field amplitude (in `√W`, see [`crate::Wave`]) at distance `d`, such
-    /// that a lone charger delivers exactly [`ChargeModel::power_at`].
-    pub fn amplitude_at(&self, d: f64) -> f64 {
-        self.power_at(d).sqrt()
-    }
-
-    /// Energy (J) delivered over `duration_s` seconds of charging at fixed
-    /// distance `d`.
-    pub fn energy_over(&self, d: f64, duration_s: f64) -> f64 {
-        self.power_at(d) * duration_s.max(0.0)
-    }
-
-    /// Time (s) needed to deliver `energy_j` joules at distance `d`, or `None`
-    /// if no power is received there.
-    pub fn time_to_deliver(&self, d: f64, energy_j: f64) -> Option<f64> {
-        let p = self.power_at(d);
-        if p <= 0.0 {
-            None
-        } else {
-            Some(energy_j.max(0.0) / p)
-        }
-    }
 }
 
 impl Default for ChargeModel {
     fn default() -> Self {
         ChargeModel::powercast()
     }
-}
-
-/// Generates ideal `(distance, power)` samples from the Friis model using the
-/// crate's default hardware constants; the Section-II style "measurement"
-/// campaign adds noise to these and then fits a [`ChargeModel`] to them.
-pub fn friis_samples(distances_m: &[f64]) -> Vec<(f64, f64)> {
-    let lambda = constants::wavelength(constants::ISM_915MHZ);
-    distances_m
-        .iter()
-        .map(|&d| {
-            (
-                d,
-                constants::DEFAULT_RECTIFIER_EFFICIENCY
-                    * friis_power(
-                        constants::DEFAULT_TX_POWER_W,
-                        constants::DEFAULT_TX_GAIN,
-                        constants::DEFAULT_RX_GAIN,
-                        lambda,
-                        d,
-                    ),
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -182,45 +117,9 @@ mod tests {
     }
 
     #[test]
-    fn amplitude_squared_is_power() {
-        let m = ChargeModel::powercast();
-        let a = m.amplitude_at(1.5);
-        assert!((a * a - m.power_at(1.5)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn energy_and_time_are_inverse() {
-        let m = ChargeModel::powercast();
-        let e = m.energy_over(1.0, 30.0);
-        let t = m.time_to_deliver(1.0, e).unwrap();
-        assert!((t - 30.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_to_deliver_out_of_range_is_none() {
-        let m = ChargeModel::powercast();
-        assert!(m.time_to_deliver(10.0, 1.0).is_none());
-    }
-
-    #[test]
     fn invalid_parameters_rejected() {
         assert!(ChargeModel::new(0.0, 0.5, 5.0).is_err());
         assert!(ChargeModel::new(0.25, -1.0, 5.0).is_err());
         assert!(ChargeModel::new(0.25, 0.5, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn friis_follows_inverse_square() {
-        let p1 = friis_power(3.0, 8.0, 2.0, 0.33, 1.0);
-        let p2 = friis_power(3.0, 8.0, 2.0, 0.33, 2.0);
-        assert!((p1 / p2 - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn friis_samples_are_positive_and_decreasing() {
-        let s = friis_samples(&[0.5, 1.0, 2.0]);
-        assert_eq!(s.len(), 3);
-        assert!(s[0].1 > s[1].1 && s[1].1 > s[2].1);
-        assert!(s[2].1 > 0.0);
     }
 }

@@ -25,15 +25,6 @@ pub fn wavelength(freq_hz: f64) -> f64 {
 /// Default transmit power of a Powercast-class charger, in watts.
 pub const DEFAULT_TX_POWER_W: f64 = 3.0;
 
-/// Default transmit antenna gain (linear, not dBi).
-pub const DEFAULT_TX_GAIN: f64 = 8.0;
-
-/// Default receive antenna gain (linear, not dBi).
-pub const DEFAULT_RX_GAIN: f64 = 2.0;
-
-/// Default RF-to-DC rectifier efficiency of the harvesting circuit.
-pub const DEFAULT_RECTIFIER_EFFICIENCY: f64 = 0.65;
-
 #[cfg(test)]
 mod tests {
     use super::*;

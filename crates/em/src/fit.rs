@@ -4,7 +4,6 @@
 //! For a fixed `β` the model is linear in `α`, so the optimal `α` has a closed
 //! form; the fitter grid-searches `β` and refines it by golden-section search.
 
-use crate::charging::ChargeModel;
 use crate::error::EmError;
 
 /// Result of fitting `P(d) = α/(d+β)²` to samples.
@@ -18,19 +17,6 @@ pub struct FitResult {
     pub rss: f64,
     /// Coefficient of determination `R²` (1 = perfect fit).
     pub r_squared: f64,
-}
-
-impl FitResult {
-    /// Converts the fit into a usable [`ChargeModel`] with the given cut-off
-    /// range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmError`] if the fitted parameters are degenerate (e.g. the
-    /// samples were all zero).
-    pub fn into_model(self, max_range_m: f64) -> Result<ChargeModel, EmError> {
-        ChargeModel::new(self.alpha, self.beta, max_range_m)
-    }
 }
 
 /// For fixed `β`, the optimal `α` and resulting RSS.
@@ -139,6 +125,7 @@ pub fn fit_charge_model(samples: &[(f64, f64)], beta_max: f64) -> Result<FitResu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::charging::ChargeModel;
     use crate::noise::MeasurementNoise;
 
     fn exact_samples(model: &ChargeModel, n: usize) -> Vec<(f64, f64)> {
@@ -188,13 +175,5 @@ mod tests {
     fn rejects_negative_distance() {
         let s = vec![(-1.0, 0.1), (2.0, 0.2), (3.0, 0.01)];
         assert!(fit_charge_model(&s, 3.0).is_err());
-    }
-
-    #[test]
-    fn fit_converts_to_model() {
-        let truth = ChargeModel::powercast();
-        let fit = fit_charge_model(&exact_samples(&truth, 20), 3.0).unwrap();
-        let model = fit.into_model(5.0).unwrap();
-        assert!((model.power_at(1.0) - truth.power_at(1.0)).abs() < 1e-6);
     }
 }

@@ -41,34 +41,13 @@ pub fn incoherent_power(waves: &[Wave]) -> f64 {
     waves.iter().map(|w| w.solo_power()).sum()
 }
 
-/// Upper bound on coherent power: `(Σᵢ aᵢ)²`, attained when all phases align.
-pub fn constructive_bound(waves: &[Wave]) -> f64 {
-    let a: f64 = waves.iter().map(Wave::amplitude).sum();
-    a * a
-}
-
 /// Closed-form two-wave superposition:
 /// `P = a₁² + a₂² + 2·a₁·a₂·cos(Δφ)`.
 ///
 /// This is the formula the paper's Section-II measurements fit; it is exactly
 /// [`received_power`] specialised to two waves.
-pub fn two_wave_power(a1: f64, a2: f64, delta_phase: f64) -> f64 {
+fn two_wave_power(a1: f64, a2: f64, delta_phase: f64) -> f64 {
     a1 * a1 + a2 * a2 + 2.0 * a1 * a2 * delta_phase.cos()
-}
-
-/// Cancellation depth of a wave set: `1 − P_coherent / P_incoherent`.
-///
-/// * `1.0` — total cancellation (the spoofing ideal),
-/// * `0.0` — power adds as the naive model expects,
-/// * negative — constructive interference (receiver gets *more* than naive).
-///
-/// Returns `0.0` for an empty or zero-power set.
-pub fn cancellation_depth(waves: &[Wave]) -> f64 {
-    let inc = incoherent_power(waves);
-    if inc <= 0.0 {
-        return 0.0;
-    }
-    1.0 - received_power(waves) / inc
 }
 
 /// Normalised two-wave interference pattern sampled over `Δφ ∈ [0, 2π]`.
@@ -100,7 +79,6 @@ mod tests {
     fn empty_set_has_zero_power() {
         assert_eq!(received_power(&[]), 0.0);
         assert_eq!(incoherent_power(&[]), 0.0);
-        assert_eq!(cancellation_depth(&[]), 0.0);
     }
 
     #[test]
@@ -123,41 +101,10 @@ mod tests {
     }
 
     #[test]
-    fn equal_amplitude_antiphase_gives_full_depth() {
-        let w = Wave::new(1.0, 0.0);
-        let depth = cancellation_depth(&[w, w.antiphase()]);
-        assert!((depth - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn in_phase_gives_negative_depth() {
-        let w = Wave::new(1.0, 0.0);
-        // Coherent 4.0 vs incoherent 2.0 → depth = -1.
-        assert!((cancellation_depth(&[w, w]) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn coherent_power_never_exceeds_constructive_bound() {
-        let waves = [
-            Wave::new(1.0, 0.1),
-            Wave::new(0.5, 2.3),
-            Wave::new(2.0, -1.0),
-        ];
-        assert!(received_power(&waves) <= constructive_bound(&waves) + 1e-12);
-    }
-
-    #[test]
     fn phase_sweep_has_peak_at_zero_and_null_at_pi() {
         let sweep = phase_sweep(1.0, 1.0, 181);
         assert!((sweep[0].1 - 1.0).abs() < 1e-12);
         let null = sweep[90]; // Δφ = π
         assert!(null.1 < 1e-10, "null power = {}", null.1);
-    }
-
-    #[test]
-    fn mismatched_amplitudes_cannot_fully_cancel() {
-        let depth = cancellation_depth(&[Wave::new(1.0, 0.0), Wave::new(0.5, PI)]);
-        // Residual power (1-0.5)² = 0.25, incoherent = 1.25 → depth = 0.8.
-        assert!((depth - 0.8).abs() < 1e-12);
     }
 }

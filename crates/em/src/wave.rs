@@ -44,7 +44,7 @@ impl Wave {
     }
 
     /// Creates a wave directly from a field phasor.
-    pub fn from_phasor(p: Phasor) -> Self {
+    fn from_phasor(p: Phasor) -> Self {
         Wave::new(p.magnitude(), p.phase())
     }
 

@@ -135,16 +135,6 @@ impl Battery {
         !self.depleted && self.level_j <= self.warning_j
     }
 
-    /// Time until depletion under constant power draw `watts`, seconds;
-    /// `None` if the draw is zero or negative.
-    pub fn time_to_depletion(&self, watts: f64) -> Option<f64> {
-        if watts > 0.0 {
-            Some(self.level_j / watts)
-        } else {
-            None
-        }
-    }
-
     /// Energy needed to refill to capacity, joules.
     pub fn deficit_j(&self) -> f64 {
         self.capacity_j - self.level_j
@@ -206,7 +196,7 @@ impl RadioEnergyModel {
     }
 
     /// Energy to receive `bits`, joules.
-    pub fn rx_energy(&self, bits: f64) -> f64 {
+    fn rx_energy(&self, bits: f64) -> f64 {
         bits * self.e_elec
     }
 
@@ -271,13 +261,6 @@ mod tests {
         assert_eq!(b.discharge(-5.0), 0.0);
         assert_eq!(b.charge(-5.0), 0.0);
         assert_eq!(b.level_j(), 10.0);
-    }
-
-    #[test]
-    fn time_to_depletion() {
-        let b = Battery::new(10.0, 2.0);
-        assert_eq!(b.time_to_depletion(2.0), Some(5.0));
-        assert_eq!(b.time_to_depletion(0.0), None);
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl Point {
     }
 
     /// The midpoint of the segment to `other`.
-    pub fn midpoint(&self, other: Point) -> Point {
+    fn midpoint(&self, other: Point) -> Point {
         Point::new(0.5 * (self.x + other.x), 0.5 * (self.y + other.y))
     }
 

@@ -183,7 +183,7 @@ pub fn identify_with_mask(net: &Network, mask: &[bool], config: &KeyNodeConfig) 
     }
     if n > config.max_exact_nodes {
         let tree = RoutingTree::shortest_path(net, mask);
-        return identify_approx(net, mask, &tree, config);
+        return identify_approx(net, mask, &routing::traffic_load(net, &tree, mask), config);
     }
     let cuts: std::collections::HashSet<NodeId> = if config.include_cut_vertices {
         net.articulation_points(mask).into_iter().collect()
@@ -237,42 +237,42 @@ pub fn identify_with_mask(net: &Network, mask: &[bool], config: &KeyNodeConfig) 
     out
 }
 
-/// [`identify_with_mask`] given the routing tree of `mask`, which must
-/// equal `RoutingTree::shortest_path(net, mask)`, as a live simulator's
-/// tree does. The approximation then ranks on that tree instead of building
-/// its own; the exact pipeline does not use a tree and is unchanged.
+/// [`identify_with_mask`] given the traffic load of `mask`'s routing tree,
+/// which must equal `routing::traffic_load` over
+/// `RoutingTree::shortest_path(net, mask)`, as a live simulator's load does.
+/// The approximation then ranks on that load instead of building a tree and
+/// summing its own; the exact pipeline does not use a load and is unchanged.
 ///
 /// # Panics
 ///
 /// Panics if `mask.len() != net.node_count()`.
-pub fn identify_with_tree(
+pub fn identify_with_load(
     net: &Network,
     mask: &[bool],
-    tree: &RoutingTree,
+    load: &routing::TrafficLoad,
     config: &KeyNodeConfig,
 ) -> Vec<KeyNode> {
     net.assert_mask_len(mask);
     if net.node_count() > config.max_exact_nodes {
-        identify_approx(net, mask, tree, config)
+        identify_approx(net, mask, load, config)
     } else {
         identify_with_mask(net, mask, config)
     }
 }
 
 /// Near-linear key-node identification for networks past
-/// [`KeyNodeConfig::max_exact_nodes`]: the routing tree of `mask` ranks
-/// alive nodes by relayed inbound traffic — the quantity betweenness is a
+/// [`KeyNodeConfig::max_exact_nodes`]: the traffic `load` of `mask`'s
+/// routing tree ranks alive nodes by relayed inbound traffic — the quantity betweenness is a
 /// proxy for in a sink-rooted WRSN — and the top `hub_fraction` become hubs
 /// with `weight = 1 + rx / max_rx`. Cut vertices and stranded counts are
 /// skipped: the approximation ranks by relayed traffic alone.
 fn identify_approx(
     net: &Network,
     mask: &[bool],
-    tree: &RoutingTree,
+    load: &routing::TrafficLoad,
     config: &KeyNodeConfig,
 ) -> Vec<KeyNode> {
     let n = net.node_count();
-    let load = routing::traffic_load(net, tree, mask);
     let mut ranked: Vec<usize> = (0..n)
         .filter(|&i| mask.get(i).copied().unwrap_or(false) && load.rx_bps[i] > 0.0)
         .collect();
@@ -341,7 +341,7 @@ pub fn effective_power_draw_with_tree(
 /// nothing when dead. Pure in `(mask, aliveness, parent, reachability, load)`
 /// — recomputing it with unchanged inputs reproduces the exact same bits,
 /// which is what lets [`update_effective_power`] skip untouched nodes.
-pub fn effective_node_power(
+fn effective_node_power(
     net: &Network,
     mask: &[bool],
     radio: &RadioEnergyModel,

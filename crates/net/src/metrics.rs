@@ -4,7 +4,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::geom::Point;
 use crate::graph::Network;
-use crate::routing::RoutingTree;
 
 /// A snapshot of network health at one instant.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -19,17 +18,6 @@ pub struct HealthSnapshot {
     pub coverage: f64,
     /// Whether the alive subgraph is connected.
     pub connected: bool,
-}
-
-impl HealthSnapshot {
-    /// Fraction of nodes still alive.
-    pub fn survival_rate(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            self.alive as f64 / self.total as f64
-        }
-    }
 }
 
 /// Computes a health snapshot of `net` with the given sensing radius used for
@@ -57,7 +45,7 @@ pub fn snapshot(net: &Network, sensing_radius_m: f64, coverage_grid: usize) -> H
 /// radius, so a sample point tests only the nodes in the (at most 3 × 3)
 /// cells within reach. The per-node test is the same as a scan of every
 /// node, so the count is too.
-pub fn coverage(net: &Network, mask: &[bool], sensing_radius_m: f64, grid: usize) -> f64 {
+fn coverage(net: &Network, mask: &[bool], sensing_radius_m: f64, grid: usize) -> f64 {
     if net.node_count() == 0 || grid == 0 || sensing_radius_m <= 0.0 {
         return 0.0;
     }
@@ -190,28 +178,6 @@ impl<'a> Cells<'a> {
     }
 }
 
-/// Estimated time (s) until the first node dies under current steady-state
-/// power draw, or `None` if no node is draining.
-pub fn time_to_first_death(net: &Network, power_w: &[f64]) -> Option<f64> {
-    (0..net.node_count())
-        .zip(power_w)
-        .filter(|&(i, &p)| net.alive(i) && p > 0.0)
-        .map(|(i, &p)| net.levels_j()[i] / p)
-        .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-}
-
-/// The classical "network lifetime" definition used in the evaluation: time
-/// until the sink-reachable fraction first drops below `threshold`
-/// (e.g. `0.9`). This helper just evaluates the predicate on a snapshot; the
-/// simulator tracks the crossing time.
-pub fn is_alive_by_reachability(net: &Network, tree: &RoutingTree, threshold: f64) -> bool {
-    let alive = net.alive_mask().iter().filter(|&&a| a).count();
-    if alive == 0 {
-        return false;
-    }
-    tree.reachable_count() as f64 / alive as f64 >= threshold
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,7 +195,7 @@ mod tests {
         let net = small_net();
         let s = snapshot(&net, 10.0, 20);
         assert_eq!(s.alive, 16);
-        assert_eq!(s.survival_rate(), 1.0);
+        assert_eq!(s.total, 16);
         assert_eq!(s.sink_reachability, 1.0);
         assert!(s.connected);
         assert!(s.coverage > 0.9, "coverage = {}", s.coverage);
@@ -244,7 +210,7 @@ mod tests {
         }
         let s = snapshot(&net, 10.0, 20);
         assert_eq!(s.alive, 8);
-        assert_eq!(s.survival_rate(), 0.5);
+        assert_eq!(s.total, 16);
         assert!(s.coverage < 0.9);
     }
 
@@ -369,28 +335,5 @@ mod tests {
                 "radius {radius}"
             );
         }
-    }
-
-    #[test]
-    fn time_to_first_death_picks_weakest() {
-        let net = small_net();
-        let mut power = vec![1.0; 16];
-        power[3] = 100.0; // hottest node
-        let t = time_to_first_death(&net, &power).unwrap();
-        let expect = net.levels_j()[3] / 100.0;
-        assert!((t - expect).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_to_first_death_none_without_drain() {
-        let net = small_net();
-        assert!(time_to_first_death(&net, &[0.0; 16]).is_none());
-    }
-
-    #[test]
-    fn reachability_lifetime_predicate() {
-        let net = small_net();
-        let tree = RoutingTree::shortest_path(&net, &net.alive_mask());
-        assert!(is_alive_by_reachability(&net, &tree, 0.9));
     }
 }

@@ -187,11 +187,6 @@ impl SensorNode {
         &self.battery
     }
 
-    /// Mutable battery access.
-    pub fn battery_mut(&mut self) -> &mut Battery {
-        &mut self.battery
-    }
-
     /// Sensing data generation rate, bits per second.
     pub fn sensing_rate_bps(&self) -> f64 {
         self.sensing_rate_bps
@@ -266,9 +261,9 @@ mod tests {
 
     #[test]
     fn draining_battery_kills_node() {
-        let mut n = SensorNode::new(Point::ORIGIN);
-        let cap = n.battery().capacity_j();
-        n.battery_mut().discharge(cap * 2.0);
+        let mut battery = Battery::default();
+        battery.discharge(battery.capacity_j() * 2.0);
+        let n = SensorNode::with_battery(Point::ORIGIN, battery);
         assert!(!n.is_alive());
     }
 

@@ -87,7 +87,7 @@ impl AuditConfig {
     /// A lax preset: sparse probing, a forgiving tolerance, and a 2-of-4
     /// conviction rule. The ROC curve's bottom anchor — a naive CSA whose
     /// victims are each served exactly once is never convicted here.
-    pub fn lax() -> Self {
+    fn lax() -> Self {
         AuditConfig {
             probe_rate: 0.25,
             tolerance: 0.15,
@@ -102,7 +102,7 @@ impl AuditConfig {
     /// honest sessions on fault-degraded hardware (efficiency can drop to
     /// 0.3 < 0.55), which is exactly the false-positive cost the `arms_race`
     /// experiment quantifies.
-    pub fn aggressive() -> Self {
+    fn aggressive() -> Self {
         AuditConfig {
             probe_rate: 1.0,
             tolerance: 0.55,
@@ -301,11 +301,6 @@ impl AuditState {
         &self.convictions
     }
 
-    /// Whether `node` has been convicted.
-    pub fn is_convicted(&self, node: NodeId) -> bool {
-        self.convicted.get(node.0).copied().unwrap_or(false)
-    }
-
     /// Probe overhead spent so far, joules.
     pub fn spent_j(&self) -> f64 {
         self.spent_j
@@ -460,8 +455,8 @@ mod tests {
         audit.observe_session(&obs(1, 100.0, 0.4), &mut NullRecorder);
         assert_eq!(audit.probes()[0].outcome, ProbeOutcome::Pass);
         assert_eq!(audit.probes()[1].outcome, ProbeOutcome::Fail);
-        assert!(audit.is_convicted(NodeId(1)) && !audit.is_convicted(NodeId(0)));
         assert_eq!(audit.convictions().len(), 1);
+        assert_eq!(audit.convictions()[0].node, NodeId(1));
         assert_eq!(audit.first_conviction_s(), Some(100.0));
     }
 

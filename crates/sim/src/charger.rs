@@ -13,8 +13,6 @@ use serde::{Deserialize, Serialize};
 use wrsn_em::{CancelController, Transmitter};
 use wrsn_net::Point;
 
-use crate::obs::{Gauge, Recorder};
-
 /// How the charger serves a node.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ChargeMode {
@@ -58,7 +56,7 @@ impl ChargerRig {
     /// A rig built from the given primary transmitter template with the
     /// default 0.3 m helper offset and small calibration errors (0.05 rad,
     /// 2 % amplitude) representative of a practical attacker.
-    pub fn new(primary: Transmitter) -> Self {
+    fn new(primary: Transmitter) -> Self {
         ChargerRig {
             primary,
             helper_offset_m: 0.3,
@@ -68,16 +66,8 @@ impl ChargerRig {
     }
 
     /// A Powercast-class rig.
-    pub fn powercast() -> Self {
+    fn powercast() -> Self {
         ChargerRig::new(Transmitter::powercast())
-    }
-
-    /// Sets the attacker's calibration errors (phase in radians, amplitude
-    /// relative), returning the rig.
-    pub fn with_errors(mut self, phase_error_rad: f64, amplitude_error: f64) -> Self {
-        self.phase_error_rad = phase_error_rad;
-        self.amplitude_error = amplitude_error;
-        self
     }
 
     /// The primary transmitter template.
@@ -342,12 +332,6 @@ impl MobileCharger {
     pub fn is_exhausted(&self) -> bool {
         self.energy_j <= 1e-9
     }
-
-    /// Samples the charger's gauges into `rec` (currently the remaining
-    /// energy budget). The world loop calls this at the end of a run.
-    pub fn observe(&self, rec: &mut dyn Recorder) {
-        rec.gauge(Gauge::ChargerEnergyJ, self.energy_j);
-    }
 }
 
 #[cfg(test)]
@@ -373,13 +357,6 @@ mod tests {
             spoofed < 0.01 * honest,
             "spoofed {spoofed} vs honest {honest}"
         );
-    }
-
-    #[test]
-    fn perfect_attacker_delivers_exactly_zero() {
-        let rig = ChargerRig::powercast().with_errors(0.0, 0.0);
-        let spoofed = rig.delivered_power(Point::ORIGIN, Point::new(1.0, 0.0), ChargeMode::Spoofed);
-        assert!(spoofed < 1e-20);
     }
 
     #[test]

@@ -36,6 +36,15 @@ pub enum SimError {
     /// An attached [`crate::store::Checkpointer`] could not persist the
     /// world.
     Store(StoreError),
+    /// A loop kept iterating without moving the simulation clock: the run
+    /// loop under a policy that issues zero-time actions forever, or a
+    /// charging session that stopped advancing.
+    NoProgress {
+        /// Which loop stalled.
+        what: &'static str,
+        /// The instant it stalled at, seconds.
+        t_s: f64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -52,6 +61,9 @@ impl fmt::Display for SimError {
                 write!(f, "run cancelled by its supervisor (deadline or shutdown)")
             }
             SimError::Store(e) => write!(f, "checkpoint store error: {e}"),
+            SimError::NoProgress { what, t_s } => {
+                write!(f, "{what} made no progress at t = {t_s} s")
+            }
         }
     }
 }
@@ -93,6 +105,13 @@ mod tests {
             value: f64::NAN,
         };
         assert!(e.to_string().contains("advance_by"));
+        let e = SimError::NoProgress {
+            what: "run loop",
+            t_s: 12.5,
+        };
+        assert!(e
+            .to_string()
+            .contains("run loop made no progress at t = 12.5 s"));
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! * [`store`]: crash-safe disk persistence — atomic checksummed checkpoint
 //!   files and the periodic [`store::Checkpointer`] a world carries,
 //! * [`obs`]: structured observability — the [`obs::Recorder`] trait (typed
-//!   counters, gauges, nested timing spans) and the versioned JSONL trace
+//!   counters, nested timing spans) and the versioned JSONL trace
 //!   schema; the default [`obs::NullRecorder`] keeps uninstrumented runs
 //!   byte-identical.
 //!
@@ -69,7 +69,7 @@ pub use cancel::CancelToken;
 pub use charger::{ChargeMode, ChargerRig, MobileCharger};
 pub use error::SimError;
 pub use fault::{FaultConfig, FaultEvent, FaultInjector, FaultKind, FaultPlan};
-pub use obs::{Counter, Gauge, NullRecorder, Recorder, StatsRecorder, TraceRecord};
+pub use obs::{Counter, NullRecorder, Recorder, StatsRecorder, TraceRecord};
 pub use policy::{ChargerAction, ChargerPolicy, IdlePolicy, WorldView};
 pub use request::ChargeRequest;
 pub use store::{CheckpointPolicy, Checkpointer, StoreError};
@@ -83,7 +83,7 @@ pub mod prelude {
     pub use crate::charger::{ChargeMode, ChargerRig, MobileCharger};
     pub use crate::error::SimError;
     pub use crate::fault::{FaultConfig, FaultEvent, FaultInjector, FaultKind, FaultPlan};
-    pub use crate::obs::{Counter, Gauge, NullRecorder, Recorder, StatsRecorder, TraceRecord};
+    pub use crate::obs::{Counter, NullRecorder, Recorder, StatsRecorder, TraceRecord};
     pub use crate::policy::{ChargerAction, ChargerPolicy, IdlePolicy, WorldView};
     pub use crate::request::ChargeRequest;
     pub use crate::store::{CheckpointPolicy, Checkpointer, StoreError};

@@ -1,4 +1,4 @@
-//! Structured observability: typed counters, gauges, timing spans and a
+//! Structured observability: typed counters, timing spans and a
 //! versioned JSONL trace schema.
 //!
 //! Every layer of the stack — the world loop, the charge policies, the CSA
@@ -251,43 +251,6 @@ impl Counter {
     }
 }
 
-/// A sampled instantaneous value (last write wins).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Gauge {
-    /// Simulation clock, seconds.
-    SimTimeS,
-    /// Charger's remaining energy budget, joules.
-    ChargerEnergyJ,
-    /// Alive nodes.
-    AliveNodes,
-    /// Outstanding charging requests.
-    PendingRequests,
-}
-
-impl Gauge {
-    /// Number of gauges.
-    pub const COUNT: usize = 4;
-
-    /// All gauges, in declaration order.
-    pub const ALL: [Gauge; Gauge::COUNT] = [
-        Gauge::SimTimeS,
-        Gauge::ChargerEnergyJ,
-        Gauge::AliveNodes,
-        Gauge::PendingRequests,
-    ];
-
-    /// Stable snake_case name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Gauge::SimTimeS => "sim_time_s",
-            Gauge::ChargerEnergyJ => "charger_energy_j",
-            Gauge::AliveNodes => "alive_nodes",
-            Gauge::PendingRequests => "pending_requests",
-        }
-    }
-}
-
 /// One record of the JSONL trace stream.
 ///
 /// Serialized inside an envelope `{"v": SCHEMA_VERSION, "record": ...}` by
@@ -390,11 +353,6 @@ pub trait Recorder {
         let _ = (counter, delta);
     }
 
-    /// Samples `gauge` at `value` (last write wins).
-    fn gauge(&mut self, gauge: Gauge, value: f64) {
-        let _ = (gauge, value);
-    }
-
     /// Enters a named timing span. Spans nest: a span entered while another is
     /// open is keyed by its dotted path (`"outer.inner"`).
     fn span_enter(&mut self, name: &'static str) {
@@ -434,12 +392,11 @@ pub struct SpanStats {
     pub count: u64,
 }
 
-/// An in-memory recorder: dense counter/gauge arrays, aggregated span
+/// An in-memory recorder: a dense counter array, aggregated span
 /// wall-times, and a buffered [`TraceRecord`] stream.
 #[derive(Debug)]
 pub struct StatsRecorder {
     counters: [u64; Counter::COUNT],
-    gauges: [Option<f64>; Gauge::COUNT],
     spans: Vec<SpanStats>,
     /// Open span stack: `spans` index plus entry time.
     open: Vec<(usize, Instant)>,
@@ -457,7 +414,6 @@ impl Default for StatsRecorder {
     fn default() -> Self {
         StatsRecorder {
             counters: [0; Counter::COUNT],
-            gauges: [None; Gauge::COUNT],
             spans: Vec::new(),
             open: Vec::new(),
             span_ids: Vec::new(),
@@ -475,11 +431,6 @@ impl StatsRecorder {
     /// Current value of `counter`.
     pub fn counter(&self, counter: Counter) -> u64 {
         self.counters[counter as usize]
-    }
-
-    /// Last sampled value of `gauge`, if any.
-    pub fn gauge_value(&self, gauge: Gauge) -> Option<f64> {
-        self.gauges[gauge as usize]
     }
 
     /// `(name, value)` pairs for all *nonzero* counters, declaration order.
@@ -512,7 +463,7 @@ impl StatsRecorder {
         self.records.push(record);
     }
 
-    /// Replays this recorder's counters, gauges, and buffered records into
+    /// Replays this recorder's counters and buffered records into
     /// `rec`, in deterministic (declaration/emission) order. Span wall-times
     /// are not transferable through the trait and are dropped — by design,
     /// since merged workers' wall-clock would differ across hosts anyway.
@@ -527,11 +478,6 @@ impl StatsRecorder {
                 rec.add(counter, v);
             }
         }
-        for gauge in Gauge::ALL {
-            if let Some(v) = self.gauges[gauge as usize] {
-                rec.gauge(gauge, v);
-            }
-        }
         for record in self.records {
             rec.emit(&record);
         }
@@ -541,10 +487,6 @@ impl StatsRecorder {
 impl Recorder for StatsRecorder {
     fn add(&mut self, counter: Counter, delta: u64) {
         self.counters[counter as usize] += delta;
-    }
-
-    fn gauge(&mut self, gauge: Gauge, value: f64) {
-        self.gauges[gauge as usize] = Some(value);
     }
 
     fn span_enter(&mut self, name: &'static str) {
@@ -666,7 +608,6 @@ mod tests {
         let mut rec = NullRecorder;
         assert!(!rec.enabled());
         rec.add(Counter::Moves, 3);
-        rec.gauge(Gauge::SimTimeS, 1.0);
         rec.span_enter("x");
         rec.span_exit("x");
         rec.emit(&TraceRecord::Meta {
@@ -700,15 +641,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Counter::COUNT, "counter names must be unique");
-    }
-
-    #[test]
-    fn gauges_keep_last_write() {
-        let mut rec = StatsRecorder::new();
-        assert_eq!(rec.gauge_value(Gauge::AliveNodes), None);
-        rec.gauge(Gauge::AliveNodes, 10.0);
-        rec.gauge(Gauge::AliveNodes, 7.0);
-        assert_eq!(rec.gauge_value(Gauge::AliveNodes), Some(7.0));
     }
 
     #[test]
@@ -795,11 +727,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_into_replays_counters_gauges_and_records() {
+    fn merge_into_replays_counters_and_records() {
         let mut worker = StatsRecorder::new();
         worker.add(Counter::Moves, 2);
         worker.add(Counter::CandidateProbes, 7);
-        worker.gauge(Gauge::SimTimeS, 42.0);
         worker.emit(&TraceRecord::Meta {
             schema: "wrsn-trace".into(),
             scope: "w".into(),
@@ -811,7 +742,6 @@ mod tests {
         worker.merge_into(&mut parent);
         assert_eq!(parent.counter(Counter::Moves), 3);
         assert_eq!(parent.counter(Counter::CandidateProbes), 7);
-        assert_eq!(parent.gauge_value(Gauge::SimTimeS), Some(42.0));
         assert_eq!(parent.records().len(), 1);
         assert!(parent.spans().is_empty(), "span wall-times are dropped");
     }

@@ -5,7 +5,7 @@
 //! repeatedly asks the policy for its next [`ChargerAction`] and executes it.
 
 use wrsn_net::energy::RadioEnergyModel;
-use wrsn_net::routing::RoutingTree;
+use wrsn_net::routing::{RoutingTree, TrafficLoad};
 use wrsn_net::{Network, NodeId, Point};
 
 use crate::charger::{ChargeMode, MobileCharger};
@@ -45,6 +45,8 @@ pub struct WorldView<'a> {
     pub net: &'a Network,
     /// The current routing tree over alive nodes.
     pub tree: &'a RoutingTree,
+    /// The traffic load of `tree`: what each node relays, bits per second.
+    pub load: &'a TrafficLoad,
     /// Steady-state power draw of every node, watts.
     pub power_w: &'a [f64],
     /// The charger's current state.
@@ -136,11 +138,13 @@ mod tests {
         let nodes = deploy::uniform(&Region::square(10.0), 3, 0);
         let net = Network::build(nodes, Point::ORIGIN, 5.0);
         let tree = RoutingTree::shortest_path(&net, &net.alive_mask());
+        let load = wrsn_net::routing::traffic_load(&net, &tree, &net.alive_mask());
         let charger = MobileCharger::standard(Point::ORIGIN);
         let view = WorldView {
             time_s: 0.0,
             net: &net,
             tree: &tree,
+            load: &load,
             power_w: &[0.0; 3],
             charger: &charger,
             requests: &[],
@@ -158,11 +162,13 @@ mod tests {
         let nodes = deploy::uniform(&Region::square(10.0), 2, 0);
         let net = Network::build(nodes, Point::ORIGIN, 5.0);
         let tree = RoutingTree::shortest_path(&net, &net.alive_mask());
+        let load = wrsn_net::routing::traffic_load(&net, &tree, &net.alive_mask());
         let charger = MobileCharger::standard(Point::ORIGIN);
         let view = WorldView {
             time_s: 30.0,
             net: &net,
             tree: &tree,
+            load: &load,
             power_w: &[0.0; 2],
             charger: &charger,
             requests: &[],

@@ -160,47 +160,17 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// Streaming FNV-1a (64-bit) hasher — the store's dependency-free checksum,
+/// FNV-1a (64-bit) of one byte slice: the store's dependency-free checksum,
 /// also used by the bench harness to digest experiment outputs.
-#[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
-
-impl Fnv1a {
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// Creates a hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv1a(Self::OFFSET)
+    let mut h = OFFSET;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(PRIME);
     }
-
-    /// Feeds `bytes` into the hash.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(Self::PRIME);
-        }
-        self.0 = h;
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a::new()
-    }
-}
-
-/// FNV-1a of one byte slice.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(bytes);
-    h.finish()
+    h
 }
 
 fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> StoreError {

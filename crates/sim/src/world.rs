@@ -18,7 +18,7 @@ use crate::audit::{AuditConfig, AuditEncoder, AuditState, SessionObservation};
 use crate::charger::{ChargeMode, MobileCharger};
 use crate::error::SimError;
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
-use crate::obs::{self, Counter, Gauge, Recorder, TraceRecord};
+use crate::obs::{self, Counter, Recorder, TraceRecord};
 use crate::policy::{ChargerAction, ChargerPolicy, WorldView};
 use crate::request::{ChargeRequest, RequestQueue};
 use crate::store::Checkpointer;
@@ -275,6 +275,14 @@ impl Deserialize for World {
 /// Relative tolerance when matching a node's depletion instant.
 const DEATH_EPS: f64 = 1e-9;
 
+/// Shortest charging chunk the session loop integrates, seconds. A session
+/// truncated to this or less cannot move the clock.
+const MIN_CHUNK_S: f64 = 1e-9;
+
+/// Consecutive zero-time iterations after which a loop is reported as
+/// stalled ([`SimError::NoProgress`]).
+const MAX_ZERO_TIME_STEPS: usize = 10_000;
+
 /// Per-segment inputs of [`apply_segment`]: the current power/drain columns
 /// and the injection applied over the segment.
 struct Segment<'a> {
@@ -501,6 +509,7 @@ impl World {
             time_s: self.time_s,
             net: &self.net,
             tree: &self.tree,
+            load: &self.scratch.load,
             power_w: &self.power_w,
             charger: &self.charger,
             requests: self.requests.pending(),
@@ -1117,12 +1126,31 @@ impl World {
                 let delivered_w = self.charger.rig().delivered_power(pos, node_pos, mode);
                 let radiated_w = self.charger.rig().radiated_power(pos, node_pos, mode);
                 // Truncate to horizon and to the charger's energy budget.
-                let mut dur = duration_s.max(0.0).min(self.config.horizon_s - self.time_s);
-                if radiated_w > 0.0 {
-                    dur = dur.min(self.charger.energy_j() / radiated_w);
-                }
+                let horizon_left_s = self.config.horizon_s - self.time_s;
+                let budget_s = if radiated_w > 0.0 {
+                    self.charger.energy_j() / radiated_w
+                } else {
+                    f64::INFINITY
+                };
+                let dur = duration_s.max(0.0).min(horizon_left_s).min(budget_s);
                 if dur <= 0.0 {
                     return Ok(self.time_s < self.config.horizon_s);
+                }
+                if dur <= MIN_CHUNK_S {
+                    // Too short to integrate: the session cannot move the
+                    // clock, so repeating it would spin.
+                    if horizon_left_s <= MIN_CHUNK_S {
+                        self.advance(horizon_left_s, None, 0.0, rec)?;
+                        return Ok(false);
+                    }
+                    if budget_s <= MIN_CHUNK_S {
+                        // Above `is_exhausted`'s 1e-9 J, yet the budget buys
+                        // less than a chunk: the charger is spent.
+                        self.trace.record(self.time_s, SimEvent::ChargerExhausted);
+                        return Ok(false);
+                    }
+                    // The policy itself asked for a zero-time session.
+                    return Ok(true);
                 }
                 // Serve in chunks so the session ends the moment the served
                 // node dies — a charger cannot keep "charging" a corpse.
@@ -1131,7 +1159,7 @@ impl World {
                 let mut stored = 0.0;
                 let mut remaining = dur;
                 let mut guard = 0usize;
-                while remaining > 1e-9 && self.net.alive(node.0) {
+                while remaining > MIN_CHUNK_S && self.net.alive(node.0) {
                     let drain = self.power_w[node.0] - delivered_w;
                     let chunk = if drain > 0.0 {
                         let ttd = self.net.levels_j()[node.0] / drain;
@@ -1142,9 +1170,18 @@ impl World {
                     rec.add(Counter::SessionChunks, 1);
                     stored += self.advance(chunk, Some(node), delivered_w, rec)?;
                     remaining -= chunk;
+                    // Not reached by any run so far: each chunk moves the
+                    // clock by more than MIN_CHUNK_S and runs to the end of
+                    // the session or past the node's predicted death. Another
+                    // pass follows only when a death elsewhere lowered the
+                    // node's drain mid-chunk. Kept so a change that breaks
+                    // this fails loudly instead of truncating the session.
                     guard += 1;
-                    if guard > 10_000 {
-                        break;
+                    if guard > MAX_ZERO_TIME_STEPS {
+                        return Err(SimError::NoProgress {
+                            what: "charging session",
+                            t_s: self.time_s,
+                        });
                     }
                 }
                 let dur_actual = self.time_s - start;
@@ -1356,8 +1393,11 @@ impl World {
                 guard += 1;
                 // A policy may legitimately issue a few zero-time actions
                 // (e.g. MoveTo its current position) but not forever.
-                if guard > 10_000 {
-                    break;
+                if guard > MAX_ZERO_TIME_STEPS {
+                    return Err(SimError::NoProgress {
+                        what: "run loop",
+                        t_s: self.time_s,
+                    });
                 }
             } else {
                 guard = 0;
@@ -1376,10 +1416,6 @@ impl World {
                 t_s: self.time_s,
                 health: report.final_health,
             });
-            self.charger.observe(rec);
-            rec.gauge(Gauge::SimTimeS, self.time_s);
-            rec.gauge(Gauge::AliveNodes, report.alive_nodes as f64);
-            rec.gauge(Gauge::PendingRequests, self.requests.pending().len() as f64);
         }
         Ok(report)
     }
@@ -1443,6 +1479,7 @@ impl Deserialize for Checkpoint {
 mod tests {
     use super::*;
     use crate::charger::ChargeMode;
+    use crate::obs::NullRecorder;
     use wrsn_net::deploy;
     use wrsn_net::energy::Battery;
     use wrsn_net::node::SensorNode;
@@ -1539,6 +1576,75 @@ mod tests {
         // The charger parked ~1 m from the node.
         let node_pos = w.network().positions()[2];
         assert!((s.charger_pos.distance(node_pos) - 1.0).abs() < 1e-6);
+    }
+
+    /// A policy that drives to where the charger already is, forever.
+    struct StayPut;
+    impl ChargerPolicy for StayPut {
+        fn next_action(&mut self, view: &WorldView<'_>) -> ChargerAction {
+            ChargerAction::MoveTo(view.charger.position())
+        }
+        fn name(&self) -> &str {
+            "stay-put"
+        }
+    }
+
+    #[test]
+    fn a_policy_that_never_moves_the_clock_is_an_error() {
+        let mut w = tiny_world(3600.0);
+        let err = w.run(&mut StayPut).expect_err("zero-time actions forever");
+        assert_eq!(
+            err,
+            SimError::NoProgress {
+                what: "run loop",
+                t_s: 0.0
+            }
+        );
+    }
+
+    fn charge_node_2(duration_s: f64) -> ChargerAction {
+        ChargerAction::Charge {
+            node: NodeId(2),
+            duration_s,
+            mode: ChargeMode::Honest,
+        }
+    }
+
+    #[test]
+    fn a_session_cut_below_one_chunk_by_the_horizon_ends_the_run_there() {
+        let mut w = tiny_world(100.0);
+        // Park at node 2 with a real session, then stop just short of the
+        // horizon.
+        assert!(w.execute(charge_node_2(1.0), &mut NullRecorder).unwrap());
+        w.advance_by(100.0 - w.time_s() - 1e-12).unwrap();
+        assert!(!w.execute(charge_node_2(400.0), &mut NullRecorder).unwrap());
+        assert_eq!(w.time_s(), 100.0);
+        assert_eq!(w.trace().sessions().len(), 1);
+    }
+
+    #[test]
+    fn a_budget_that_buys_less_than_one_chunk_exhausts_the_charger() {
+        let mut w = tiny_world(3600.0);
+        assert!(w.execute(charge_node_2(1.0), &mut NullRecorder).unwrap());
+        // Above `is_exhausted`'s 1e-9 J, but under a nanosecond of radiation.
+        let left = w.charger.energy_j();
+        w.charger.spend(left - 1.5e-9);
+        assert!(!w.charger.is_exhausted());
+        let t = w.time_s();
+        assert!(!w.execute(charge_node_2(400.0), &mut NullRecorder).unwrap());
+        assert_eq!(w.time_s(), t);
+        let last = w.trace().events().last().unwrap();
+        assert_eq!(last, &(t, SimEvent::ChargerExhausted));
+    }
+
+    #[test]
+    fn a_session_asked_below_one_chunk_is_a_zero_time_no_op() {
+        let mut w = tiny_world(3600.0);
+        assert!(w.execute(charge_node_2(1.0), &mut NullRecorder).unwrap());
+        let (t, events) = (w.time_s(), w.trace().events().len());
+        assert!(w.execute(charge_node_2(1e-10), &mut NullRecorder).unwrap());
+        assert_eq!(w.time_s(), t);
+        assert_eq!(w.trace().events().len(), events);
     }
 
     /// A policy that spoof-charges node 2 once.

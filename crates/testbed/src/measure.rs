@@ -24,21 +24,6 @@ pub struct MeasuredSeries {
     pub samples: Vec<(f64, f64, f64)>,
 }
 
-impl MeasuredSeries {
-    /// Root-mean-square deviation between measured and ideal values.
-    pub fn rms_error(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = self
-            .samples
-            .iter()
-            .map(|&(_, ideal, measured)| (ideal - measured) * (ideal - measured))
-            .sum();
-        (sum / self.samples.len() as f64).sqrt()
-    }
-}
-
 /// Received power vs. phase offset for two equal-amplitude coherent waves —
 /// the paper's "the superposition is nonlinear" measurement (`fig2`).
 pub fn phase_offset_campaign(params: &TestbedParams, samples: usize) -> MeasuredSeries {
@@ -140,8 +125,14 @@ mod tests {
     #[test]
     fn phase_campaign_noise_is_bounded() {
         let series = phase_offset_campaign(&params(), 100);
-        assert!(series.rms_error() < 0.1, "rms {}", series.rms_error());
-        assert!(series.rms_error() > 0.0, "noise must actually perturb");
+        let sq: f64 = series
+            .samples
+            .iter()
+            .map(|&(_, ideal, m)| (ideal - m).powi(2))
+            .sum();
+        let rms = (sq / series.samples.len() as f64).sqrt();
+        assert!(rms < 0.1, "rms {rms}");
+        assert!(rms > 0.0, "noise must actually perturb");
     }
 
     #[test]

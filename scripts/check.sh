@@ -4,6 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every temporary file and directory the smokes below make lives under
+# $work, which one trap removes however the script exits.
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -77,9 +82,10 @@ echo "== scale-smoke: 10k nodes, thread counts 1 and 8, identical traces"
 # Threading is a pure execution strategy: 10k nodes is above the 8192-node
 # gate of the threaded graph build, so the threaded build runs, and the
 # full trace must be byte-identical.
-scale_t1="$(mktemp)"
-scale_t8="$(mktemp)"
-scale_dir="$(mktemp -d)"
+scale_t1="$work/scale_t1.jsonl"
+scale_t8="$work/scale_t8.jsonl"
+scale_dir="$work/scale"
+mkdir "$scale_dir"
 WRSN_SCALE_SIZES=10000 WRSN_THREADS=1 \
   cargo run -p wrsn-bench --release --bin exp -- \
   --id scale --out-dir "$scale_dir/t1" --trace "$scale_t1" >/dev/null
@@ -88,12 +94,13 @@ WRSN_SCALE_SIZES=10000 WRSN_THREADS=8 \
   --id scale --out-dir "$scale_dir/t8" --trace "$scale_t8" >/dev/null
 cmp -s "$scale_t1" "$scale_t8" \
   || { echo "scale trace differs between thread counts 1 and 8" >&2; exit 1; }
-rm -rf "$scale_t1" "$scale_t8" "$scale_dir"
 
 echo "== scale-smoke: 25k-node campaign within 15 s"
 # The 25k-node scale campaign took ~19 s while the request rescan after each
-# death was O(n x pending); it runs in ~1 s with the queue's membership
-# index. The timeout keeps that quadratic scan from coming back unnoticed.
+# death was O(n x pending), and ~1 s with the queue's membership index; it
+# runs in ~0.2 s since a session too short to move the clock ends the run
+# instead of spinning. The timeout keeps that quadratic scan from coming
+# back unnoticed.
 # The binary is built first so only the run is timed.
 cargo build -p wrsn-bench --release --bin exp
 WRSN_SCALE_SIZES=25000 timeout 15 target/release/exp --id scale >/dev/null \
@@ -103,7 +110,8 @@ echo "== arms-race smoke: thread counts 1 and 4, identical ROC artifacts"
 # The online audit is serial in-world code: the full ROC artifact (grid +
 # summary CSVs) must be byte-identical at any worker-thread count, and no
 # benign row may ever convict at the lax/default presets.
-arms_dir="$(mktemp -d)"
+arms_dir="$work/arms"
+mkdir "$arms_dir"
 WRSN_THREADS=1 cargo run -p wrsn-bench --release --bin exp -- \
   --id arms_race --out-dir "$arms_dir/t1" >/dev/null
 WRSN_THREADS=4 cargo run -p wrsn-bench --release --bin exp -- \
@@ -116,11 +124,9 @@ if awk -F, '$1 ~ /^(lax|default)$/ && $2 == "benign" && $6 != "0.0"' \
     "$arms_dir/t1/arms_race_0.csv" | grep -q .; then
   echo "benign run convicted at lax/default detector aggressiveness" >&2; exit 1
 fi
-rm -rf "$arms_dir"
 
 echo "== trace export smoke test"
-trace_file="$(mktemp)"
-trap 'rm -f "$trace_file"' EXIT
+trace_file="$work/trace.jsonl"
 cargo run -p wrsn-bench --release --bin exp -- --id fig2 --trace "$trace_file" >/dev/null
 test -s "$trace_file" || { echo "trace file is empty" >&2; exit 1; }
 head -n 1 "$trace_file" | grep -q '^{"v":1,"record":{"Meta":' \
@@ -132,18 +138,18 @@ echo "== trace-diff smoke: exit 0 on identical traces, 1 on a dropped line"
 cargo build --release --bin wrsn -q
 target/release/wrsn trace-diff "$trace_file" "$trace_file" >/dev/null \
   || { echo "trace-diff of a trace against itself must exit 0" >&2; exit 1; }
-trace_dropped="$(mktemp)"
+trace_dropped="$work/trace_dropped.jsonl"
 sed '2d' "$trace_file" > "$trace_dropped"
 diff_status=0
 target/release/wrsn trace-diff "$trace_file" "$trace_dropped" >/dev/null || diff_status=$?
-rm -f "$trace_dropped"
 [ "$diff_status" -eq 1 ] \
   || { echo "trace-diff against a copy with one line dropped exited $diff_status, not 1" >&2; exit 1; }
 
 echo "== checkpoint forensic-read smoke test"
 # A v1 checkpoint is one header line plus the world's JSON snapshot, so
 # stripping the header must leave a document `wrsn audit` loads.
-ckpt_dir="$(mktemp -d)"
+ckpt_dir="$work/ckpt"
+mkdir "$ckpt_dir"
 cargo run --release --example checkpointed_run -- "$ckpt_dir/run.ckpt" >/dev/null
 [[ "$(head -n 1 "$ckpt_dir/run.ckpt")" =~ ^WRSNCKPT\ v1\ len=[0-9]+\ fnv=[0-9a-f]{16}$ ]] \
   || { echo "checkpoint does not start with a v1 header" >&2; exit 1; }
@@ -151,12 +157,10 @@ tail -n +2 "$ckpt_dir/run.ckpt" > "$ckpt_dir/world.json"
 cargo run --release --bin wrsn -- audit --load "$ckpt_dir/world.json" > "$ckpt_dir/audit.txt"
 grep -q '^snapshot: t = ' "$ckpt_dir/audit.txt" \
   || { echo "wrsn audit cannot read a header-stripped checkpoint" >&2; exit 1; }
-rm -rf "$ckpt_dir"
 
 echo "== fault-injection smoke test (seeded, byte-identical)"
-faults_a="$(mktemp)"
-faults_b="$(mktemp)"
-trap 'rm -f "$trace_file" "$faults_a" "$faults_b"' EXIT
+faults_a="$work/faults_a.txt"
+faults_b="$work/faults_b.txt"
 cargo run -p wrsn-bench --release --bin exp -- --id faults > "$faults_a"
 cargo run -p wrsn-bench --release --bin exp -- --id faults > "$faults_b"
 cmp -s "$faults_a" "$faults_b" \
@@ -165,9 +169,8 @@ cmp -s "$faults_a" "$faults_b" \
 echo "== forced-worker-panic graceful degradation"
 # One poisoned experiment must not sink the campaign: healthy experiments
 # still print, the failure is reported per-experiment, and the exit is != 0.
-panic_out="$(mktemp)"
-panic_err="$(mktemp)"
-trap 'rm -f "$trace_file" "$faults_a" "$faults_b" "$panic_out" "$panic_err"' EXIT
+panic_out="$work/panic_out.txt"
+panic_err="$work/panic_err.txt"
 if WRSN_FORCE_PANIC=fig2 cargo run -p wrsn-bench --release --bin exp -- \
     --id all > "$panic_out" 2> "$panic_err"; then
   echo "exp --id all must fail when an experiment panics" >&2; exit 1
@@ -185,12 +188,11 @@ echo "== durable runs: kill-and-resume byte-identity"
 # timings, which differ between any two runs, interrupted or not.
 cargo build --release -p wrsn-bench -q
 exp=target/release/exp
-gold_dir="$(mktemp -d)"
-run_dir="$(mktemp -d)"
-hang_out="$(mktemp)"
-hang_err="$(mktemp)"
-trap 'rm -f "$trace_file" "$faults_a" "$faults_b" "$panic_out" "$panic_err" \
-  "$hang_out" "$hang_err"; rm -rf "$gold_dir" "$run_dir"' EXIT
+gold_dir="$work/gold"
+run_dir="$work/run"
+mkdir "$gold_dir" "$run_dir"
+hang_out="$work/hang_out.txt"
+hang_err="$work/hang_err.txt"
 "$exp" --id all --out-dir "$gold_dir" --trace "$gold_dir/trace.jsonl" \
   > "$gold_dir/out.txt" 2>/dev/null
 WRSN_FORCE_HANG=tab1 "$exp" --id all --out-dir "$run_dir" \
@@ -244,10 +246,9 @@ echo "== wrsnd campaign service: load-gen smoke"
 # duplicate digests byte-identical, daemon output for fig2 identical to an
 # in-process run, nothing stuck past its deadline. --max-requests caps the
 # daemon's lifetime so a wedged run cannot orphan it.
-svc_store="$(mktemp -d)"
-svc_banner="$(mktemp)"
-trap 'rm -f "$trace_file" "$faults_a" "$faults_b" "$panic_out" "$panic_err" \
-  "$hang_out" "$hang_err" "$svc_banner"; rm -rf "$gold_dir" "$run_dir" "$svc_store"' EXIT
+svc_store="$work/svc_store"
+mkdir "$svc_store"
+svc_banner="$work/svc_banner.txt"
 wrsnd=target/release/wrsnd
 "$wrsnd" serve --listen 127.0.0.1:0 --store "$svc_store" --max-requests 2000 \
   > "$svc_banner" 2>/dev/null &
@@ -271,11 +272,9 @@ echo "== wrsnd stdin smoke: a deadline no Duration can hold, and a deeply nested
 # and then shut down cleanly. The same holds for `d`, a 50 KB line of nested
 # arrays: parsing it one stack frame per level aborted the daemon, and the
 # parser's nesting cap makes it an error line instead.
-stdin_store="$(mktemp -d)"
-stdin_out="$(mktemp)"
-trap 'rm -f "$trace_file" "$faults_a" "$faults_b" "$panic_out" "$panic_err" \
-  "$hang_out" "$hang_err" "$svc_banner" "$stdin_out"; \
-  rm -rf "$gold_dir" "$run_dir" "$svc_store" "$stdin_store"' EXIT
+stdin_store="$work/stdin_store"
+mkdir "$stdin_store"
+stdin_out="$work/stdin_out.txt"
 nested_line="{\"id\":\"d\",\"exp\":$(head -c 51200 /dev/zero | tr '\0' '[')"
 printf '%s\n' '{"id":"h","exp":"fig2","deadline_s":1e20}' "$nested_line" '{"op":"shutdown"}' \
   | "$wrsnd" serve --stdin --store "$stdin_store" > "$stdin_out" 2>/dev/null \
@@ -292,12 +291,10 @@ echo "== wrsnd chaos smoke: load through the fault-injecting proxy"
 # shedding, drops, and stalls, every request eventually succeeds and every
 # response is byte-identical to its digest — the daemon never crashes,
 # corrupts, or stops serving.
-chaos_store="$(mktemp -d)"
-chaos_svc_banner="$(mktemp)"
-chaos_banner="$(mktemp)"
-trap 'rm -f "$trace_file" "$faults_a" "$faults_b" "$panic_out" "$panic_err" \
-  "$hang_out" "$hang_err" "$svc_banner" "$stdin_out" "$chaos_svc_banner" "$chaos_banner"; \
-  rm -rf "$gold_dir" "$run_dir" "$svc_store" "$stdin_store" "$chaos_store"' EXIT
+chaos_store="$work/chaos_store"
+mkdir "$chaos_store"
+chaos_svc_banner="$work/chaos_svc_banner.txt"
+chaos_banner="$work/chaos_banner.txt"
 "$wrsnd" serve --listen 127.0.0.1:0 --store "$chaos_store" --workers 2 \
   --queue-cap 4 --cache-cap-bytes 65536 --max-requests 4000 \
   > "$chaos_svc_banner" 2>/dev/null &

@@ -82,12 +82,6 @@ impl Scenario {
         }
     }
 
-    /// Switches the deployment shape, returning the scenario.
-    pub fn with_deployment(mut self, deployment: Deployment) -> Self {
-        self.deployment = deployment;
-        self
-    }
-
     /// Enables the depot (battery swaps at the sink), returning the scenario.
     pub fn with_depot(mut self) -> Self {
         self.depot = true;
@@ -95,7 +89,7 @@ impl Scenario {
     }
 
     /// The field region.
-    pub fn region(&self) -> Region {
+    fn region(&self) -> Region {
         Region::square(self.field_side_m)
     }
 
@@ -217,9 +211,11 @@ mod tests {
 
     #[test]
     fn corridor_deployment_builds() {
-        let w = Scenario::paper_scale(24, 3)
-            .with_deployment(Deployment::Corridor)
-            .build();
+        let w = Scenario {
+            deployment: Deployment::Corridor,
+            ..Scenario::paper_scale(24, 3)
+        }
+        .build();
         assert_eq!(w.network().node_count(), 24);
     }
 
@@ -234,12 +230,14 @@ mod tests {
 
     #[test]
     fn clustered_deployment_builds() {
-        let w = Scenario::paper_scale(30, 3)
-            .with_deployment(Deployment::Clustered {
+        let w = Scenario {
+            deployment: Deployment::Clustered {
                 count: 3,
                 sigma: 10.0,
-            })
-            .build();
+            },
+            ..Scenario::paper_scale(30, 3)
+        }
+        .build();
         assert_eq!(w.network().node_count(), 30);
     }
 }

@@ -6,6 +6,7 @@ use wrsn::core::attack::CsaAttackPolicy;
 use wrsn::core::baseline;
 use wrsn::core::tide::TideInstance;
 use wrsn::scenario::Scenario;
+use wrsn::sim::obs::NullRecorder;
 use wrsn::sim::IdlePolicy;
 
 #[test]
@@ -89,7 +90,7 @@ fn csa_beats_every_baseline_on_real_instances() {
         let planners = baseline::standard_planners(seed);
         let utilities: Vec<f64> = planners
             .iter()
-            .map(|p| instance.utility(&p.plan(&instance)))
+            .map(|p| instance.utility(&p.plan(&instance, &mut NullRecorder)))
             .collect();
         for (k, u) in utilities.iter().enumerate().skip(1) {
             assert!(

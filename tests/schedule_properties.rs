@@ -9,6 +9,7 @@ use wrsn::core::schedule::{earliest_times, latest_start_shift};
 use wrsn::core::tide::{TideInstance, TimeWindow, Victim};
 use wrsn::core::{baseline, csa, exact, theory};
 use wrsn::net::{NodeId, Point};
+use wrsn::sim::obs::NullRecorder;
 
 fn random_instance(n: usize, seed: u64, window: f64, budget: f64) -> TideInstance {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -48,7 +49,7 @@ proptest! {
     fn planners_emit_feasible_schedules(n in 1usize..12, seed in 0u64..100, window in 50.0..800.0f64, budget in 100.0..3000.0f64) {
         let inst = random_instance(n, seed, window, budget);
         for planner in baseline::standard_planners(seed) {
-            let s = planner.plan(&inst);
+            let s = planner.plan(&inst, &mut NullRecorder);
             prop_assert!(inst.validate(&s).is_ok(), "{} emitted invalid schedule", planner.name());
             prop_assert!(inst.energy_cost(&s) <= inst.budget_j + 1e-6);
         }
@@ -62,9 +63,9 @@ proptest! {
     fn csa_dominates_deterministic_baselines(n in 1usize..10, seed in 0u64..100) {
         let inst = random_instance(n, seed, 300.0, 800.0);
         let planners = baseline::standard_planners(seed);
-        let csa_u = inst.utility(&planners[0].plan(&inst));
+        let csa_u = inst.utility(&planners[0].plan(&inst, &mut NullRecorder));
         for p in &planners[1..3] {
-            prop_assert!(csa_u + 1e-9 >= inst.utility(&p.plan(&inst)), "beaten by {}", p.name());
+            prop_assert!(csa_u + 1e-9 >= inst.utility(&p.plan(&inst, &mut NullRecorder)), "beaten by {}", p.name());
         }
     }
 
@@ -100,7 +101,7 @@ proptest! {
         let inst = random_instance(n, seed, 250.0, 700.0);
         let ub = theory::utility_upper_bound(&inst);
         for planner in baseline::standard_planners(seed) {
-            prop_assert!(ub + 1e-9 >= inst.utility(&planner.plan(&inst)));
+            prop_assert!(ub + 1e-9 >= inst.utility(&planner.plan(&inst, &mut NullRecorder)));
         }
     }
 }

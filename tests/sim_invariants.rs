@@ -171,7 +171,12 @@ fn world_snapshot_round_trips_through_json() {
         assert_eq!(back.tree().is_reachable(id), world.tree().is_reachable(id));
     }
     // Detectors work identically on the reloaded snapshot.
-    let suite_a = wrsn::core::detect::run_suite(&world);
-    let suite_b = wrsn::core::detect::run_suite(&back);
-    assert_eq!(suite_a.total_alarms(), suite_b.total_alarms());
+    for detector in wrsn::core::detect::standard_detectors() {
+        assert_eq!(
+            detector.analyze(&world).alarm_count(),
+            detector.analyze(&back).alarm_count(),
+            "{}",
+            detector.name()
+        );
+    }
 }
